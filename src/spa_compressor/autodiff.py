@@ -31,6 +31,7 @@ __all__ = [
     "reduce_sum",
     "reduce_mean",
     "reshape",
+    "broadcast_to",
     "transpose",
     "swapaxes",
     "concat",
@@ -252,9 +253,11 @@ def gelu(a) -> Node:
 def softmax(a) -> Node:
     """Numerically stable softmax over the last axis."""
     a = as_node(a)
-    shifted = a.value - a.value.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
+    # one buffer, updated in place: score-sized temporaries dominate the
+    # memory of wide attention
+    out = a.value - a.value.max(axis=-1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
 
     def vjp(g):
         inner = (g * out).sum(axis=-1, keepdims=True)
@@ -288,6 +291,16 @@ def reshape(a, shape) -> Node:
         a.value.reshape(shape),
         (a,),
         (lambda g: g.reshape(a.value.shape),),
+    )
+
+
+def broadcast_to(a, shape) -> Node:
+    """Read-only broadcast view of ``a``; the gradient sums over the copies."""
+    a = as_node(a)
+    return Node(
+        np.broadcast_to(a.value, shape),
+        (a,),
+        (lambda g: _unbroadcast(g, a.value.shape),),
     )
 
 

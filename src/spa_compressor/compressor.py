@@ -11,11 +11,15 @@ Four stages, each a thin composition of the numeric kernels:
                   layers against the fused ASR + scene context.  In
                   "frame-conditioned" mode the context is extended with
                   the current frame's normalized vision tokens so event
-                  blocks can differ per frame; "global-context" mode uses
-                  the frame-independent context only.
+                  blocks can differ per frame; the frames are folded into
+                  the batch axis, so each layer runs once for all of them,
+                  and the frame-independent context is projected to keys
+                  and values once per layer and broadcast across frames.
+                  "global-context" mode uses the frame-independent context
+                  only, so one event block is decoded and broadcast.
 4. assembly     - output is [scene block, then per frame: timestamp token
                   followed by its E event tokens], flattened to
-                  (B, S + N*(1+E), D).
+                  (B, S + N*(1+E), D) by one concat over all frames.
 """
 
 from __future__ import annotations
@@ -31,13 +35,16 @@ from .kernels import (
     AttentionParams,
     FfnParams,
     LayerNormParams,
+    attend,
     attention_params,
     cross_attention,
     ffn,
     ffn_params,
     layer_norm,
     layer_norm_params,
+    project_kv,
     self_attention,
+    shared_prefix_kv,
 )
 from .sequence import AsrSentence, Frame, InterleavedSequence, align_sentences, build_sequence
 from .time_encoder import encode_timestamp, time_encoder_params
@@ -62,7 +69,6 @@ class CompressorConfig:
     seed: int = 0
     precision: str = "f64"
     attention_bias: bool = True
-    positional_encoding: bool = False
 
     def __post_init__(self):
         if min(self.scene_tokens, self.event_tokens, self.scene_layers, self.event_layers) < 1:
@@ -145,31 +151,13 @@ class EventParams:
 class ForwardResult:
     scene: Node  # (B, S, D)
     events: Node  # (B, N, E, D)
-    frame_blocks: list[Node]  # N nodes of (B, 1+E, D)
     flattened: Node  # (B, S + N*(1+E), D)
     sequence: InterleavedSequence | None = None
-
-    @property
-    def scene_block(self) -> np.ndarray:
-        return self.scene.value
-
-    @property
-    def flattened_values(self) -> np.ndarray:
-        return self.flattened.value
 
 
 def _tile_batch(x: Node, batch: int) -> Node:
     """Broadcast an unbatched (L, D) parameter to (batch, L, D)."""
-    zeros = Node(np.zeros((batch, 1, 1), dtype=x.value.dtype))
-    return ad.reshape(x, (1,) + x.shape) + zeros
-
-
-def _sinusoidal_encoding(length: int, dim: int, dtype) -> np.ndarray:
-    position = np.arange(length, dtype=np.float64)[:, None]
-    rate = np.exp(-np.log(10000.0) * (2 * (np.arange(dim) // 2)) / dim)
-    angles = position * rate[None, :]
-    enc = np.where(np.arange(dim) % 2 == 0, np.sin(angles), np.cos(angles))
-    return enc.astype(dtype)
+    return ad.broadcast_to(x, (batch,) + x.shape)
 
 
 class SpaCompressor:
@@ -269,9 +257,6 @@ class SpaCompressor:
             for name, node in named
         ]
 
-    def state_digest(self) -> dict[str, bytes]:
-        return {name: node.value.tobytes() for name, node in self.parameters()}
-
     # ----- stages -----------------------------------------------------
 
     def fuse_vision_asr(self, asr: Node, vision: Node) -> tuple[Node, Node]:
@@ -289,16 +274,10 @@ class SpaCompressor:
         fused = attended + ffn(layer_norm(attended, self.fusion.ln_ffn), self.fusion.ffn)
         return fused, vision_flat
 
-    def _with_positions(self, context: Node) -> Node:
-        if not self.config.positional_encoding:
-            return context
-        enc = _sinusoidal_encoding(context.shape[1], context.shape[2], context.value.dtype)
-        return context + Node(enc)
-
     def aggregate_scene(self, fused_asr: Node, vision_flat: Node) -> Node:
         """Distill the full token context into S scene tokens (B, S, D)."""
         batch = fused_asr.shape[0]
-        context = self._with_positions(ad.concat([fused_asr, vision_flat], axis=1))
+        context = ad.concat([fused_asr, vision_flat], axis=1)
         h = layer_norm(_tile_batch(self.scene.queries, batch), self.scene.ln_init)
         for layer in self.scene.layers:
             h = h + cross_attention(layer_norm(h, layer.ln_attn), context, layer.attn)
@@ -309,24 +288,31 @@ class SpaCompressor:
         """Produce E event tokens per frame, (B, N, E, D).
 
         The query bank is one (E, D) parameter replicated for every frame.
+        Each decoder layer runs once for all frames: they are folded into
+        the batch axis, and the frame-independent context is projected to
+        keys and values once per layer.  In global-context mode every frame
+        sees the same context, so one block is decoded and broadcast.
         """
-        batch, n_frames = vision.shape[0], vision.shape[1]
+        batch, n_frames, l_v, d = vision.shape
         shared = ad.concat([fused_asr, scene], axis=1)
-        per_frame = []
-        for i in range(n_frames):
-            if self.config.mode == MODE_FRAME:
-                frame_tokens = layer_norm(vision[:, i], self.events.ln_vision)
-                context = ad.concat([shared, frame_tokens], axis=1)
-            else:
-                context = shared
-            context = self._with_positions(context)
-            h = layer_norm(_tile_batch(self.events.queries, batch), self.events.ln_init)
-            for layer in self.events.layers:
-                h = h + self_attention(layer_norm(h, layer.ln_self), layer.self_attn)
-                h = h + cross_attention(layer_norm(h, layer.ln_cross), context, layer.cross_attn)
-                h = h + ffn(layer_norm(h, layer.ln_ffn), layer.ffn)
-            per_frame.append(ad.reshape(h, (batch, 1, h.shape[1], h.shape[2])))
-        return ad.concat(per_frame, axis=1)
+        if self.config.mode == MODE_GLOBAL:
+            h = self._decode_events(batch, lambda p: project_kv(shared, p))
+            e = h.shape[1]
+            return ad.broadcast_to(ad.reshape(h, (batch, 1, e, d)), (batch, n_frames, e, d))
+        frames = ad.reshape(layer_norm(vision, self.events.ln_vision), (batch * n_frames, l_v, d))
+        h = self._decode_events(batch * n_frames, lambda p: shared_prefix_kv(shared, frames, p))
+        return ad.reshape(h, (batch, n_frames) + h.shape[1:])
+
+    def _decode_events(self, rows: int, keys_values) -> Node:
+        """Run the event decoder over ``rows`` query blocks; ``keys_values``
+        maps a layer's cross-attention parameters to its projected context."""
+        h = layer_norm(_tile_batch(self.events.queries, rows), self.events.ln_init)
+        for layer in self.events.layers:
+            h = h + self_attention(layer_norm(h, layer.ln_self), layer.self_attn)
+            k, v = keys_values(layer.cross_attn)
+            h = h + attend(layer_norm(h, layer.ln_cross), k, v, layer.cross_attn)
+            h = h + ffn(layer_norm(h, layer.ln_ffn), layer.ffn)
+        return h
 
     def assemble(self, scene: Node, events: Node, timestamps: list[Node]) -> ForwardResult:
         """Interleave timestamp tokens with event blocks and prepend scene."""
@@ -335,12 +321,12 @@ class SpaCompressor:
             raise ValueError(
                 f"need one timestamp embedding per frame: got {len(timestamps)} for {n_frames}"
             )
-        frame_blocks = []
-        for i, ts in enumerate(timestamps):
-            ts_token = _tile_batch(ad.reshape(ts, (1, d)), batch)
-            frame_blocks.append(ad.concat([ts_token, events[:, i]], axis=1))
-        flattened = ad.concat([scene] + frame_blocks, axis=1)
-        return ForwardResult(scene=scene, events=events, frame_blocks=frame_blocks, flattened=flattened)
+        if n_frames == 0:
+            return ForwardResult(scene=scene, events=events, flattened=scene)
+        stamps = ad.reshape(ad.concat(timestamps, axis=0), (1, n_frames, 1, d))
+        blocks = ad.concat([ad.broadcast_to(stamps, (batch, n_frames, 1, d)), events], axis=2)
+        flat_blocks = ad.reshape(blocks, (batch, n_frames * (1 + n_events), d))
+        return ForwardResult(scene=scene, events=events, flattened=ad.concat([scene, flat_blocks], axis=1))
 
     def encode_frame_times(self, frames: list[Frame]) -> list[Node]:
         return [encode_timestamp(f.time_seconds, self.time_encoder) for f in frames]
@@ -358,6 +344,12 @@ class SpaCompressor:
                 raise ValueError(
                     f"frame {f.index} vision tokens have shape {f.vision_tokens.shape}, "
                     f"expected {(cfg.vision_tokens_per_frame, cfg.dim)}"
+                )
+        for s in sentences:
+            if s.tokens.ndim != 2 or s.tokens.shape[1] != cfg.dim:
+                raise ValueError(
+                    f"sentence {s.index} tokens have shape {s.tokens.shape}, "
+                    f"expected (tokens, {cfg.dim})"
                 )
         vision = Node(
             np.stack([f.vision_tokens for f in frames])[None, ...].astype(dtype, copy=False)

@@ -7,6 +7,7 @@ row-major as little-endian IEEE floats.  All integers little-endian.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -37,17 +38,24 @@ def read_tensor(path) -> np.ndarray:
     data = Path(path).read_bytes()
     if data[:4] != MAGIC:
         raise ValueError(f"{path}: bad magic {data[:4]!r}, expected {MAGIC!r}")
+    if len(data) < 16:
+        raise ValueError(f"{path}: truncated header: {len(data)} bytes, need 16")
     version, width, rank = struct.unpack_from("<III", data, 4)
     if version != VERSION:
         raise ValueError(f"{path}: unsupported format version {version}")
     if width not in _WIDTH_TO_DTYPE:
         raise ValueError(f"{path}: invalid element width {width}")
-    shape = struct.unpack_from(f"<{rank}I", data, 16)
     offset = 16 + 4 * rank
-    expected = int(np.prod(shape)) if rank else 1
+    if len(data) < offset:
+        raise ValueError(f"{path}: truncated header: {len(data)} bytes, rank {rank} needs {offset}")
+    shape = struct.unpack_from(f"<{rank}I", data, 16)
+    expected = math.prod(shape)
+    payload = len(data) - offset
+    if payload != expected * width:
+        raise ValueError(
+            f"{path}: payload has {payload} bytes, header implies {expected} values of {width} bytes"
+        )
     values = np.frombuffer(data, dtype=_WIDTH_TO_DTYPE[width], offset=offset)
-    if values.size != expected:
-        raise ValueError(f"{path}: payload has {values.size} values, header implies {expected}")
     return values.reshape(shape).copy()
 
 

@@ -110,39 +110,86 @@ def _merge_heads(x: Node, batch: int, heads: int) -> Node:
     return ad.reshape(x, (batch, length, heads * head_dim))
 
 
+def _check_context(q: Node, kv: Node) -> None:
+    if q.ndim != 3 or kv.ndim != 3:
+        raise ValueError(f"expected rank-3 inputs, got {q.shape} and {kv.shape}")
+    if kv.shape[0] != q.shape[0] or kv.shape[2] != q.shape[2]:
+        raise ValueError(f"query/context shape mismatch: {q.shape} vs {kv.shape}")
+    if kv.shape[1] == 0:
+        raise ValueError("attention context is empty (zero key/value tokens)")
+
+
+def project_kv(kv: Node, p: AttentionParams) -> tuple[Node, Node]:
+    """Key and value projections of a context ``kv`` (batch, Lkv, D).
+
+    Projections act row by row, so a context shared by several query
+    batches can be projected once and broadcast; see
+    :func:`shared_prefix_kv`.
+    """
+    check_finite(kv.value, "attention key/value input")
+    return _project(kv, p.wk, p.bk), _project(kv, p.wv, p.bv)
+
+
+def shared_prefix_kv(shared: Node, rows: Node, p: AttentionParams) -> tuple[Node, Node]:
+    """Keys and values of the contexts [shared, own tokens] of B*N query
+    batches: ``shared`` (B, L_s, D) is common to N consecutive batches and
+    ``rows`` (B*N, L_r, D) holds each batch's own tokens.
+
+    The shared part is projected once and broadcast over its N batches,
+    which is exact because the projections act row by row.
+    """
+    batch, l_s, dim = shared.shape
+    n_rows, l_r, _ = rows.shape
+    n = n_rows // batch
+
+    def join(s: Node, r: Node) -> Node:
+        s = ad.broadcast_to(ad.reshape(s, (batch, 1, l_s, dim)), (batch, n, l_s, dim))
+        r = ad.reshape(r, (batch, n, l_r, dim))
+        return ad.reshape(ad.concat([s, r], axis=2), (n_rows, l_s + l_r, dim))
+
+    k_shared, v_shared = project_kv(shared, p)
+    k_rows, v_rows = project_kv(rows, p)
+    return join(k_shared, k_rows), join(v_shared, v_rows)
+
+
+def attend(q: Node, k: Node, v: Node, p: AttentionParams, return_weights: bool = False):
+    """Multi-head scaled-dot-product attention of queries ``q`` into
+    projected keys ``k`` and values ``v``, each (batch, Lkv, D).
+
+    Softmax runs over the key axis with scale 1/sqrt(head_dim), applied to
+    the queries; no mask.  With ``return_weights`` also returns the
+    (batch*heads, Lq, Lkv) rows.
+    """
+    _check_context(q, k)
+    if v.shape != k.shape:
+        raise ValueError(f"key/value shape mismatch: {k.shape} vs {v.shape}")
+    check_finite(q.value, "attention query input")
+
+    batch, _, dim = q.shape
+    scale = 1.0 / np.sqrt(dim // p.heads)
+    qh = _split_heads(_project(q, p.wq, p.bq) * scale, p.heads)
+    kh = _split_heads(k, p.heads)
+    vh = _split_heads(v, p.heads)
+
+    weights = ad.softmax(qh @ ad.swapaxes(kh, -1, -2))
+    context = _merge_heads(weights @ vh, batch, p.heads)
+    out = _project(context, p.wo, p.bo)
+    if return_weights:
+        return out, weights
+    return out
+
+
 def cross_attention(
     q: Node,
     kv: Node,
     p: AttentionParams,
     return_weights: bool = False,
 ):
-    """Multi-head scaled-dot-product attention of queries ``q`` into ``kv``.
-
-    Softmax runs over the key axis with scale 1/sqrt(head_dim); no mask.
-    With ``return_weights`` also returns the (batch*heads, Lq, Lkv) rows.
-    """
-    if q.ndim != 3 or kv.ndim != 3:
-        raise ValueError(f"expected rank-3 inputs, got {q.shape} and {kv.shape}")
-    batch, _, dim = q.shape
-    if kv.shape[0] != batch or kv.shape[2] != dim:
-        raise ValueError(f"query/context shape mismatch: {q.shape} vs {kv.shape}")
-    if kv.shape[1] == 0:
-        raise ValueError("attention context is empty (zero key/value tokens)")
-    check_finite(q.value, "attention query input")
-    check_finite(kv.value, "attention key/value input")
-
-    head_dim = dim // p.heads
-    qh = _split_heads(_project(q, p.wq, p.bq), p.heads)
-    kh = _split_heads(_project(kv, p.wk, p.bk), p.heads)
-    vh = _split_heads(_project(kv, p.wv, p.bv), p.heads)
-
-    scores = (qh @ ad.swapaxes(kh, -1, -2)) * (1.0 / np.sqrt(head_dim))
-    weights = ad.softmax(scores)
-    context = _merge_heads(weights @ vh, batch, p.heads)
-    out = _project(context, p.wo, p.bo)
-    if return_weights:
-        return out, weights
-    return out
+    """Multi-head scaled-dot-product attention of queries ``q`` into ``kv``:
+    :func:`project_kv` followed by :func:`attend`."""
+    _check_context(q, kv)
+    k, v = project_kv(kv, p)
+    return attend(q, k, v, p, return_weights=return_weights)
 
 
 def self_attention(x: Node, p: AttentionParams, return_weights: bool = False):

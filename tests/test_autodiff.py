@@ -51,6 +51,7 @@ def check_op(build, *arrays, tol=1e-7):
         (lambda a: ad.reduce_mean(a, axis=-1, keepdims=True) - a, [(2, 5)]),
         (lambda a: ad.reshape(a, (6, 2)), [(3, 4)]),
         (lambda a: ad.transpose(a, (2, 0, 1)), [(2, 3, 4)]),
+        (lambda a: ad.broadcast_to(a, (2, 3, 4)), [(3, 1)]),
         (lambda a, b: ad.concat([a, b], axis=1), [(2, 3), (2, 2)]),
         (lambda a: a[1], [(3, 4)]),
         (lambda a: a[:, 1:3], [(2, 5)]),

@@ -90,6 +90,18 @@ class TestGenerateAndRun:
                        "--out", str(out_file)) == 0
         assert read_tensor(out_file).shape == (1, 2 + 2 * 3, 8)
 
+    def test_truncated_frame_file_is_an_error_line(self, tmp_path, capsys):
+        video_dir = tmp_path / "video"
+        run_cli("generate", "--out", str(video_dir), "--frames", "2", "--d", "8")
+        frame = video_dir / "frame_00001.spat"
+        frame.write_bytes(frame.read_bytes()[:10])
+        assert run_cli("run", "--d", "8", "--l-v", "2",
+                       "--manifest", str(video_dir / "video.manifest"),
+                       "--out", str(tmp_path / "o.spat")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "frame_00001.spat: truncated header" in err
+
     def test_missing_manifest_fails(self, tmp_path, capsys):
         assert run_cli("run", "--manifest", str(tmp_path / "nope.manifest"),
                        "--out", str(tmp_path / "o.spat")) == 1

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -172,6 +174,31 @@ class TestEventExtraction:
         for i in range(2):
             np.testing.assert_allclose(got[:, i], h, atol=1e-10)
 
+    def test_batched_frame_conditioned_stack_matches_per_frame_oracle(self, rng):
+        # two batch entries of three frames each, so a wrong fold of frames
+        # into the batch axis shows up as well as a wrong layer
+        model = SpaCompressor(toy_config(event_tokens=3, event_layers=2, mode=MODE_FRAME))
+        for _, node in model.parameter_groups()["event"]:
+            if node.ndim == 1:  # layer-norm scales and shifts, attention and FFN biases
+                node.value[:] = rng.uniform(0.5, 1.5, node.shape)
+        fused = rng.standard_normal((2, 3, 4))
+        scene = rng.standard_normal((2, 2, 4))
+        vision = rng.standard_normal((2, 3, 2, 4))
+        got = model.extract_events(Node(fused), Node(scene), Node(vision)).value
+        assert got.shape == (2, 3, 3, 4)
+
+        ev = model.events
+        shared = np.concatenate([fused, scene], axis=1)
+        for i in range(3):
+            context = np.concatenate([shared, np_layer_norm(vision[:, i], ev.ln_vision)], axis=1)
+            h = np_layer_norm(np.stack([ev.queries.value] * 2), ev.ln_init)
+            for layer in ev.layers:
+                x = np_layer_norm(h, layer.ln_self)
+                h = h + np_attention(x, x, layer.self_attn)
+                h = h + np_attention(np_layer_norm(h, layer.ln_cross), context, layer.cross_attn)
+                h = h + np_ffn(np_layer_norm(h, layer.ln_ffn), layer.ffn)
+            np.testing.assert_allclose(got[:, i], h, atol=1e-10)
+
     def test_unknown_mode_is_an_error(self):
         with pytest.raises(ValueError, match="unknown mode"):
             toy_config(mode="telepathy")
@@ -283,6 +310,13 @@ class TestForward:
         model = SpaCompressor(toy_config(dim=8, vision_tokens_per_frame=3))
         with pytest.raises(ValueError, match="vision tokens have shape"):
             model.forward(frames, sentences)
+
+    def test_wrong_sentence_token_width_names_the_sentence(self, toy_video):
+        frames, sentences = toy_video
+        model = SpaCompressor(toy_config(dim=8, vision_tokens_per_frame=2))
+        narrow = dataclasses.replace(sentences[0], tokens=sentences[0].tokens[:, :5])
+        with pytest.raises(ValueError, match=rf"sentence {narrow.index} tokens have shape \(\d+, 5\)"):
+            model.forward(frames, [narrow] + sentences[1:])
 
     def test_float32_precision_produces_float32(self, toy_video):
         frames, sentences = toy_video

@@ -41,6 +41,24 @@ def test_truncated_payload_rejected(tmp_path, rng):
         read_tensor(path)
 
 
+@pytest.mark.parametrize("keep", [4, 10, 16, 20])
+def test_truncated_header_names_the_file(tmp_path, rng, keep):
+    # 4 and 10 bytes cut the fixed header, 16 and 20 the per-axis extents
+    path = tmp_path / "t.spat"
+    write_tensor(path, rng.standard_normal((2, 3, 4)))
+    path.write_bytes(path.read_bytes()[:keep])
+    with pytest.raises(ValueError, match=r"t\.spat: truncated header"):
+        read_tensor(path)
+
+
+def test_payload_not_a_whole_number_of_values_rejected(tmp_path, rng):
+    path = tmp_path / "t.spat"
+    write_tensor(path, rng.standard_normal((4, 4)))
+    path.write_bytes(path.read_bytes()[:-3])
+    with pytest.raises(ValueError, match=r"t\.spat: payload has 125 bytes"):
+        read_tensor(path)
+
+
 def test_integer_arrays_rejected(tmp_path):
     with pytest.raises(ValueError, match="unsupported dtype"):
         write_tensor(tmp_path / "t.spat", np.arange(4))

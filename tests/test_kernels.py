@@ -8,13 +8,16 @@ from spa_compressor.autodiff import Node
 from spa_compressor.kernels import (
     AttentionParams,
     FfnParams,
+    attend,
     attention_params,
     cross_attention,
     ffn,
     ffn_params,
     layer_norm,
     layer_norm_params,
+    project_kv,
     self_attention,
+    shared_prefix_kv,
 )
 
 
@@ -143,6 +146,25 @@ class TestAttention:
         np.testing.assert_array_equal(a.bo.value, b.bo.value)
 
 
+class TestAttendSharedContext:
+    def test_matches_cross_attention_on_materialized_context(self, rng):
+        # two shared contexts, each the prefix of three query batches
+        p = attention_params(8, 2, rng)
+        shared = rng.standard_normal((2, 5, 8))
+        own = rng.standard_normal((6, 2, 8))
+        q = Node(rng.standard_normal((6, 4, 8)))
+        got = attend(q, *shared_prefix_kv(Node(shared), Node(own), p), p).value
+        context = np.concatenate([np.repeat(shared, 3, axis=0), own], axis=1)
+        np.testing.assert_allclose(got, cross_attention(q, Node(context), p).value, atol=1e-12)
+
+    def test_key_value_shape_mismatch_is_an_error(self, rng):
+        p = attention_params(4, 2, rng)
+        q = Node(rng.standard_normal((1, 2, 4)))
+        k, v = project_kv(Node(rng.standard_normal((1, 3, 4))), p)
+        with pytest.raises(ValueError, match="mismatch"):
+            attend(q, k, v[:, :2], p)
+
+
 class TestFfn:
     def test_zeroed_second_layer_gives_zero_output(self, rng):
         p = ffn_params(4, rng)
@@ -218,6 +240,17 @@ class TestKernelGradients:
         self.fd_check(
             p.parameters() + [("q", q), ("kv", kv)],
             lambda: cross_attention(q, kv, p),
+        )
+
+    def test_attend_gradients_through_shared_and_per_frame_context(self, rng):
+        # the shared context feeds every frame, so its gradient sums over them
+        p = attention_params(4, 2, rng)
+        shared = Node(rng.standard_normal((1, 2, 4)))
+        frames = Node(rng.standard_normal((3, 2, 4)))
+        q = Node(rng.standard_normal((3, 2, 4)))
+        self.fd_check(
+            p.parameters() + [("shared", shared), ("frames", frames), ("q", q)],
+            lambda: attend(q, *shared_prefix_kv(shared, frames, p), p),
         )
 
     def test_ffn_gradients(self, rng):
