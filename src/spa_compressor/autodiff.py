@@ -6,15 +6,22 @@ eagerly by the op functions below and differentiated by :func:`backward`,
 which walks the graph in reverse topological order.  Everything is pure
 numpy, double precision by default, and bit-deterministic: the same inputs
 always produce the same graph and the same gradients.
+
+Inside :func:`no_grad` the ops compute the same values but record no
+graph: every node they create is a leaf, so intermediate values are freed
+as soon as nothing refers to them.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 from scipy.special import erf as _erf, expit as _expit
 
 __all__ = [
     "Node",
+    "no_grad",
     "as_node",
     "add",
     "sub",
@@ -41,20 +48,40 @@ __all__ = [
 ]
 
 
+_recording = True
+
+
+@contextmanager
+def no_grad():
+    """Value-only evaluation: nodes created in this context keep their value
+    but record no parents or VJPs, so nothing can be differentiated through
+    them.  Nests, and restores the previous mode on exit or exception."""
+    global _recording
+    previous, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = previous
+
+
 class Node:
     """One value in the computation graph.
 
     ``parents`` and ``vjps`` are parallel tuples: ``vjps[i]`` maps the
     upstream gradient to the gradient contribution for ``parents[i]``.
-    Leaf nodes (constants, parameters) have empty parents.
+    Leaf nodes (constants, parameters) have empty parents, and so does every
+    node created inside :func:`no_grad`.
     """
 
     __slots__ = ("value", "parents", "vjps", "name")
 
     def __init__(self, value, parents=(), vjps=(), name=""):
         self.value = np.asarray(value)
-        self.parents = parents
-        self.vjps = vjps
+        if _recording:
+            self.parents = parents
+            self.vjps = vjps
+        else:
+            self.parents = self.vjps = ()
         self.name = name
 
     @property

@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 check failure or runtime error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -42,20 +43,23 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _model_config(args) -> CompressorConfig:
+    """The model flags, or the ``--config`` INI; an explicit global
+    ``--seed``/``--precision`` overrides the INI's value."""
     if args.config is not None:
-        return CompressorConfig.from_ini(args.config)
-    return CompressorConfig(
-        dim=args.d,
-        heads=args.heads,
-        scene_tokens=args.s,
-        event_tokens=args.e,
-        scene_layers=args.l_s,
-        event_layers=args.l_e,
-        vision_tokens_per_frame=args.l_v,
-        mode=args.mode,
-        seed=args.seed,
-        precision=args.precision,
-    )
+        config = CompressorConfig.from_ini(args.config)
+    else:
+        config = CompressorConfig(
+            dim=args.d,
+            heads=args.heads,
+            scene_tokens=args.s,
+            event_tokens=args.e,
+            scene_layers=args.l_s,
+            event_layers=args.l_e,
+            vision_tokens_per_frame=args.l_v,
+            mode=args.mode,
+        )
+    given = {"seed": args.seed, "precision": args.precision}
+    return dataclasses.replace(config, **{k: v for k, v in given.items() if v is not None})
 
 
 def _video_spec(args, config: CompressorConfig) -> SyntheticVideoSpec:
@@ -64,7 +68,7 @@ def _video_spec(args, config: CompressorConfig) -> SyntheticVideoSpec:
         n_sentences=args.sentences,
         vision_tokens_per_frame=config.vision_tokens_per_frame,
         dim=config.dim,
-        seed=args.video_seed if args.video_seed is not None else args.seed,
+        seed=args.video_seed if args.video_seed is not None else config.seed,
     )
 
 
@@ -131,7 +135,7 @@ def cmd_generate(args) -> int:
         sentence_tokens_min=args.l_s_min,
         sentence_tokens_max=args.l_s_max,
         frame_step=args.step,
-        seed=args.seed,
+        seed=args.seed or 0,
     )
     frames, sentences = generate(spec)
     path = write_video(args.out, frames, sentences)
@@ -165,7 +169,7 @@ def cmd_fit(args) -> int:
     config = _model_config(args)
     frames, sentences = generate(_video_spec(args, config))
     model = SpaCompressor(config)
-    losses = fit(model, frames, sentences, FitConfig(args.steps, args.lr, args.seed))
+    losses = fit(model, frames, sentences, FitConfig(args.steps, args.lr, config.seed))
     if args.out:
         with open(args.out, "w") as fh:
             fh.write("step,loss\n")
@@ -194,8 +198,9 @@ def cmd_golden(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="spa", description="hierarchical scene/event token compressor")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--precision", choices=("f32", "f64"), default="f64")
+    # None: not given, so --config's value (else 0 and f64) applies
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--precision", choices=("f32", "f64"))
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ratio", help="compression ratio analytics")
@@ -258,7 +263,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

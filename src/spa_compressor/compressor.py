@@ -155,6 +155,29 @@ class ForwardResult:
     sequence: InterleavedSequence | None = None
 
 
+@dataclass
+class PreparedInput:
+    """A validated video as the stages consume it (B=1)."""
+
+    frames: list[Frame]
+    asr: Node  # (1, L_a, D), every sentence's tokens in order
+    vision: Node  # (1, N, L_v, D)
+    sequence: InterleavedSequence
+
+
+@dataclass
+class StageOutputs:
+    fused: Node  # fusion: (B, L_a, D)
+    vision_flat: Node  # fusion: (B, N*L_v, D)
+    scene: Node  # (B, S, D)
+    events: Node  # (B, N, E, D)
+    timestamps: list[Node]  # one (D,) per frame
+
+
+# the parameter-dependent stages of SpaCompressor.run_stages, in pipeline order
+STAGES = ("fusion", "scene", "events", "times")
+
+
 def _tile_batch(x: Node, batch: int) -> Node:
     """Broadcast an unbatched (L, D) parameter to (batch, L, D)."""
     return ad.broadcast_to(x, (batch,) + x.shape)
@@ -250,6 +273,15 @@ class SpaCompressor:
             "time_encoder": time_enc,
         }
 
+    # the stages whose outputs depend on each parameter group; only these
+    # need rerunning when that group changes
+    DOWNSTREAM = {
+        "fusion": ("fusion", "scene", "events"),
+        "scene": ("scene", "events"),
+        "event": ("events",),
+        "time_encoder": ("times",),
+    }
+
     def parameters(self) -> list[tuple[str, Node]]:
         return [
             (f"{group}.{name}", node)
@@ -331,9 +363,8 @@ class SpaCompressor:
     def encode_frame_times(self, frames: list[Frame]) -> list[Node]:
         return [encode_timestamp(f.time_seconds, self.time_encoder) for f in frames]
 
-    def forward(self, frames: list[Frame], sentences: list[AsrSentence]) -> ForwardResult:
-        """Full pipeline from raw frame/sentence embeddings to the
-        flattened hierarchical representation (B=1)."""
+    def prepare_input(self, frames: list[Frame], sentences: list[AsrSentence]) -> PreparedInput:
+        """Validate a video and stack its embeddings into the stages' inputs."""
         cfg = self.config
         anchors = align_sentences(frames, sentences)
         sequence = build_sequence(frames, sentences, anchors)
@@ -358,10 +389,27 @@ class SpaCompressor:
             asr = Node(np.concatenate([s.tokens for s in sentences])[None, ...].astype(dtype, copy=False))
         else:
             asr = Node(np.zeros((1, 0, cfg.dim), dtype=dtype))
+        return PreparedInput(frames, asr, vision, sequence)
 
-        fused, vision_flat = self.fuse_vision_asr(asr, vision)
-        scene = self.aggregate_scene(fused, vision_flat)
-        events = self.extract_events(fused, scene, vision)
-        result = self.assemble(scene, events, self.encode_frame_times(frames))
-        result.sequence = sequence
+    def run_stages(
+        self, x: PreparedInput, rerun=STAGES, cached: StageOutputs | None = None
+    ) -> StageOutputs:
+        """Run the stages named in ``rerun``; every other stage's output is
+        taken from ``cached``, the outputs of an earlier run on ``x``."""
+        if "fusion" in rerun:
+            fused, vision_flat = self.fuse_vision_asr(x.asr, x.vision)
+        else:
+            fused, vision_flat = cached.fused, cached.vision_flat
+        scene = self.aggregate_scene(fused, vision_flat) if "scene" in rerun else cached.scene
+        events = self.extract_events(fused, scene, x.vision) if "events" in rerun else cached.events
+        times = self.encode_frame_times(x.frames) if "times" in rerun else cached.timestamps
+        return StageOutputs(fused, vision_flat, scene, events, times)
+
+    def forward(self, frames: list[Frame], sentences: list[AsrSentence]) -> ForwardResult:
+        """Full pipeline from raw frame/sentence embeddings to the
+        flattened hierarchical representation (B=1)."""
+        x = self.prepare_input(frames, sentences)
+        out = self.run_stages(x)
+        result = self.assemble(out.scene, out.events, out.timestamps)
+        result.sequence = x.sequence
         return result

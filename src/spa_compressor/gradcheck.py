@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .compressor import SpaCompressor
+from .compressor import PreparedInput, SpaCompressor, StageOutputs
 from .sequence import AsrSentence, Frame
 
 DEFAULT_STEP = 1e-5
@@ -35,8 +35,12 @@ def relative_error(analytic: float, numeric: float) -> float:
     return abs(analytic - numeric) / max(abs(analytic) + abs(numeric), REL_ERR_FLOOR)
 
 
-def _sum_loss(model: SpaCompressor, frames, sentences) -> float:
-    return float(model.forward(frames, sentences).flattened.value.sum())
+def staged_sum_loss(model: SpaCompressor, x: PreparedInput, cached: StageOutputs, group: str) -> float:
+    """The check's sum-of-outputs loss after parameter group ``group`` has
+    changed since ``cached = model.run_stages(x)``: only the stages
+    downstream of ``group`` rerun."""
+    out = model.run_stages(x, model.DOWNSTREAM[group], cached)
+    return float(model.assemble(out.scene, out.events, out.timestamps).flattened.value.sum())
 
 
 def finite_difference_check(
@@ -50,7 +54,15 @@ def finite_difference_check(
     differences for every scalar parameter, grouped by compressor stage.
 
     Frozen groups are skipped and flagged; they receive no gradient flow.
+    Each finite-difference loss reruns, value-only, only the stages
+    downstream of the perturbed group and reuses the others' outputs, so it
+    is the same float computation as a full forward.  Float64 models only:
+    at the default step, float32 round-off swamps the difference.
     """
+    if model.config.precision != "f64":
+        raise ValueError(
+            f"finite-difference gradcheck needs precision f64, got {model.config.precision}"
+        )
     result = model.forward(frames, sentences)
     grads = ad.backward(ad.reduce_sum(result.flattened))
     analytic_grads = {
@@ -64,27 +76,30 @@ def finite_difference_check(
     del result, grads
     gc.collect()
 
+    x = model.prepare_input(frames, sentences)
     reports = []
-    for group, named in model.parameter_groups().items():
-        if group in freeze:
-            n = sum(node.value.size for _, node in named)
-            reports.append(GroupReport(group, n, 0.0, "(frozen)", frozen=True))
-            continue
-        worst_err, worst_param, count = 0.0, "", 0
-        for name, node in named:
-            flat_value = node.value.reshape(-1)
-            flat_grad = analytic_grads[id(node)].reshape(-1)
-            for k in range(flat_value.size):
-                original = flat_value[k]
-                flat_value[k] = original + step
-                plus = _sum_loss(model, frames, sentences)
-                flat_value[k] = original - step
-                minus = _sum_loss(model, frames, sentences)
-                flat_value[k] = original
-                numeric = (plus - minus) / (2.0 * step)
-                err = relative_error(float(flat_grad[k]), numeric)
-                if err > worst_err:
-                    worst_err, worst_param = err, f"{name}[{k}]"
-                count += 1
-        reports.append(GroupReport(group, count, worst_err, worst_param))
+    with ad.no_grad():
+        cached = model.run_stages(x)
+        for group, named in model.parameter_groups().items():
+            if group in freeze:
+                n = sum(node.value.size for _, node in named)
+                reports.append(GroupReport(group, n, 0.0, "(frozen)", frozen=True))
+                continue
+            worst_err, worst_param, count = 0.0, "", 0
+            for name, node in named:
+                flat_value = node.value.reshape(-1)
+                flat_grad = analytic_grads[id(node)].reshape(-1)
+                for k in range(flat_value.size):
+                    original = flat_value[k]
+                    flat_value[k] = original + step
+                    plus = staged_sum_loss(model, x, cached, group)
+                    flat_value[k] = original - step
+                    minus = staged_sum_loss(model, x, cached, group)
+                    flat_value[k] = original
+                    numeric = (plus - minus) / (2.0 * step)
+                    err = relative_error(float(flat_grad[k]), numeric)
+                    if err > worst_err:
+                        worst_err, worst_param = err, f"{name}[{k}]"
+                    count += 1
+            reports.append(GroupReport(group, count, worst_err, worst_param))
     return reports

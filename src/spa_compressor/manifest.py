@@ -58,6 +58,9 @@ def read_video(manifest_path) -> tuple[list[Frame], list[AsrSentence]]:
             raise ValueError(f"{manifest_path}:{lineno}: malformed record: {exc}") from exc
     frames.sort(key=lambda f: f.index)
     sentences.sort(key=lambda s: s.index)
-    validate_frames(frames)
-    validate_sentences(sentences)
+    try:
+        validate_frames(frames)
+        validate_sentences(sentences)
+    except ValueError as exc:
+        raise ValueError(f"{manifest_path}: {exc}") from exc
     return frames, sentences

@@ -56,6 +56,12 @@ class InterleavedSequence:
 def validate_frames(frames: list[Frame]) -> None:
     if not frames:
         raise ValueError("a video needs at least one frame")
+    for i, f in enumerate(frames):
+        if f.index != i:
+            raise ValueError(
+                f"frame {f.index} at position {i}: frame indices must be 0, 1, 2, ... "
+                "with no gaps or repeats"
+            )
     widths = {f.vision_tokens.shape for f in frames}
     if len(widths) != 1:
         raise ValueError(f"frames disagree on vision token shape: {sorted(widths)}")
@@ -70,7 +76,12 @@ def validate_frames(frames: list[Frame]) -> None:
 
 
 def validate_sentences(sentences: list[AsrSentence]) -> None:
-    for s in sentences:
+    for j, s in enumerate(sentences):
+        if s.index != j + 1:
+            raise ValueError(
+                f"sentence {s.index} at position {j + 1}: sentence indices must be 1, 2, 3, ... "
+                "with no gaps or repeats"
+            )
         if s.start > s.end:
             raise ValueError(f"sentence {s.index} has start {s.start} > end {s.end}")
         if s.tokens.ndim != 2 or s.tokens.shape[0] < 1:

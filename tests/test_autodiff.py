@@ -31,32 +31,32 @@ def check_op(build, *arrays, tol=1e-7):
         np.testing.assert_allclose(analytic, numeric, rtol=tol, atol=tol)
 
 
-@pytest.mark.parametrize(
-    "build,shapes",
-    [
-        (lambda a, b: a + b, [(3, 4), (3, 4)]),
-        (lambda a, b: a + b, [(3, 4), (4,)]),  # broadcast
-        (lambda a, b: a - b, [(2, 3), (2, 3)]),
-        (lambda a, b: a * b, [(3, 4), (1, 4)]),
-        (lambda a, b: a / b, [(2, 3), (2, 3)]),
-        (lambda a, b: a @ b, [(3, 4), (4, 5)]),
-        (lambda a, b: a @ b, [(2, 3, 4), (4, 5)]),  # batched vs shared
-        (lambda a: ad.tanh(a), [(3, 3)]),
-        (lambda a: ad.exp(a), [(2, 2)]),
-        (lambda a: ad.sigmoid(a), [(3, 2)]),
-        (lambda a: ad.gelu(a), [(4, 3)]),
-        (lambda a: ad.softmax(a), [(3, 5)]),
-        (lambda a: ad.power(a + 2.0, -0.5), [(3, 3)]),
-        (lambda a: ad.reduce_sum(a, axis=1, keepdims=True) * a, [(3, 4)]),
-        (lambda a: ad.reduce_mean(a, axis=-1, keepdims=True) - a, [(2, 5)]),
-        (lambda a: ad.reshape(a, (6, 2)), [(3, 4)]),
-        (lambda a: ad.transpose(a, (2, 0, 1)), [(2, 3, 4)]),
-        (lambda a: ad.broadcast_to(a, (2, 3, 4)), [(3, 1)]),
-        (lambda a, b: ad.concat([a, b], axis=1), [(2, 3), (2, 2)]),
-        (lambda a: a[1], [(3, 4)]),
-        (lambda a: a[:, 1:3], [(2, 5)]),
-    ],
-)
+OPS = [
+    (lambda a, b: a + b, [(3, 4), (3, 4)]),
+    (lambda a, b: a + b, [(3, 4), (4,)]),  # broadcast
+    (lambda a, b: a - b, [(2, 3), (2, 3)]),
+    (lambda a, b: a * b, [(3, 4), (1, 4)]),
+    (lambda a, b: a / b, [(2, 3), (2, 3)]),
+    (lambda a, b: a @ b, [(3, 4), (4, 5)]),
+    (lambda a, b: a @ b, [(2, 3, 4), (4, 5)]),  # batched vs shared
+    (lambda a: ad.tanh(a), [(3, 3)]),
+    (lambda a: ad.exp(a), [(2, 2)]),
+    (lambda a: ad.sigmoid(a), [(3, 2)]),
+    (lambda a: ad.gelu(a), [(4, 3)]),
+    (lambda a: ad.softmax(a), [(3, 5)]),
+    (lambda a: ad.power(a + 2.0, -0.5), [(3, 3)]),
+    (lambda a: ad.reduce_sum(a, axis=1, keepdims=True) * a, [(3, 4)]),
+    (lambda a: ad.reduce_mean(a, axis=-1, keepdims=True) - a, [(2, 5)]),
+    (lambda a: ad.reshape(a, (6, 2)), [(3, 4)]),
+    (lambda a: ad.transpose(a, (2, 0, 1)), [(2, 3, 4)]),
+    (lambda a: ad.broadcast_to(a, (2, 3, 4)), [(3, 1)]),
+    (lambda a, b: ad.concat([a, b], axis=1), [(2, 3), (2, 2)]),
+    (lambda a: a[1], [(3, 4)]),
+    (lambda a: a[:, 1:3], [(2, 5)]),
+]
+
+
+@pytest.mark.parametrize("build,shapes", OPS)
 def test_vjp_matches_finite_differences(build, shapes):
     rng = np.random.default_rng(99)
     arrays = [rng.standard_normal(s) for s in shapes]
@@ -97,3 +97,29 @@ def test_gradients_accumulate_across_reuse():
     y = x * x + x  # dy/dx = 2x + 1
     grads = ad.backward(ad.reduce_sum(y))
     np.testing.assert_allclose(ad.grad_of(grads, x), np.full(4, 5.0))
+
+
+@pytest.mark.parametrize("build,shapes", OPS)
+def test_no_grad_gives_the_same_values_and_records_nothing(build, shapes):
+    rng = np.random.default_rng(99)
+    nodes = [Node(rng.standard_normal(s)) for s in shapes]
+    recorded = build(*nodes)
+    with ad.no_grad():
+        value_only = build(*nodes)
+    assert recorded.parents
+    assert value_only.parents == () and value_only.vjps == ()
+    assert value_only.value.dtype == recorded.value.dtype
+    assert np.array_equal(value_only.value, recorded.value, equal_nan=True)
+
+
+def test_no_grad_nests_and_is_restored_after_an_exception():
+    x = Node(np.ones(3))
+    with pytest.raises(RuntimeError):
+        with ad.no_grad():
+            with ad.no_grad():
+                assert (x * x).parents == ()
+            assert (x * x).parents == ()  # leaving the inner context keeps recording off
+            raise RuntimeError("inside no_grad")
+    y = x * x
+    assert y.parents == (x, x)
+    np.testing.assert_array_equal(ad.grad_of(ad.backward(ad.reduce_sum(y)), x), np.full(3, 2.0))

@@ -1,7 +1,11 @@
+import dataclasses
+
 import pytest
 
 from spa_compressor.cli import main
 from spa_compressor.goldenio import read_tensor
+from spa_compressor.manifest import write_video
+from spa_compressor.synthetic import SyntheticVideoSpec, generate
 
 from test_harness import GOLDEN_MANIFEST
 
@@ -106,6 +110,45 @@ class TestGenerateAndRun:
         assert run_cli("run", "--manifest", str(tmp_path / "nope.manifest"),
                        "--out", str(tmp_path / "o.spat")) == 1
 
+    def test_directory_as_manifest_is_an_error_line(self, tmp_path, capsys):
+        assert run_cli("run", "--manifest", str(tmp_path),
+                       "--out", str(tmp_path / "o.spat")) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_one_based_frame_indices_are_rejected(self, tmp_path, capsys):
+        frames, sentences = generate(SyntheticVideoSpec(3, 2, 2, 8, seed=4))
+        frames = [dataclasses.replace(f, index=f.index + 1) for f in frames]
+        manifest = write_video(tmp_path / "video", frames, sentences)
+        assert run_cli("run", "--d", "8", "--l-v", "2", "--manifest", str(manifest),
+                       "--out", str(tmp_path / "o.spat")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "frame 1 at position 0" in err
+
+    def test_explicit_seed_and_precision_override_the_ini(self, tmp_path):
+        ini = tmp_path / "c.ini"
+        ini.write_text(
+            "[compressor]\nd = 8\nheads = 2\ns = 2\ne = 2\nl_s = 1\nl_e = 1\n"
+            "l_v = 2\nseed = 3\nprecision = f64\n"
+        )
+        video_dir = tmp_path / "video"
+        run_cli("generate", "--out", str(video_dir), "--frames", "2", "--d", "8")
+
+        def run(name, *global_flags):
+            out = tmp_path / name
+            assert run_cli(*global_flags, "run", "--config", str(ini),
+                           "--manifest", str(video_dir / "video.manifest"), "--out", str(out)) == 0
+            return out.read_bytes()
+
+        ini_seed = run("ini.spat")
+        seed_3 = run("3.spat", "--seed", "3")
+        seed_9 = run("9.spat", "--seed", "9")
+        seed_10_f32 = run("10.spat", "--seed", "10", "--precision", "f32")
+        assert ini_seed == seed_3
+        assert seed_9 != seed_3
+        assert int.from_bytes(seed_9[8:12], "little") == 8
+        assert int.from_bytes(seed_10_f32[8:12], "little") == 4  # SPAT element width
+
 
 class TestGradcheckCommand:
     def test_passes_on_tiny_config(self, capsys):
@@ -120,6 +163,12 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "time_encoder: frozen" in out
+
+    def test_f32_is_an_error_line(self, capsys):
+        assert run_cli("--precision", "f32", "gradcheck", *TINY_FLAGS) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "f32" in err
 
     def test_non_positive_tolerance_is_usage_error(self, capsys):
         assert run_cli("gradcheck", *TINY_FLAGS, "--tolerance", "0") == 2

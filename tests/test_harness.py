@@ -5,11 +5,11 @@ import pytest
 
 from spa_compressor import autodiff
 from spa_compressor.autodiff import Node
-from spa_compressor.compressor import CompressorConfig, SpaCompressor
+from spa_compressor.compressor import MODE_FRAME, MODE_GLOBAL, CompressorConfig, SpaCompressor
 from spa_compressor.fitting import FitConfig, fit
 from spa_compressor.golden import emit, load_manifest, verify
 from spa_compressor.goldenio import read_tensor, write_tensor
-from spa_compressor.gradcheck import finite_difference_check
+from spa_compressor.gradcheck import finite_difference_check, staged_sum_loss
 from spa_compressor.manifest import read_video, write_video
 from spa_compressor.sequence import validate_frames, validate_sentences
 from spa_compressor.synthetic import SyntheticVideoSpec, generate
@@ -92,6 +92,36 @@ class TestGradcheck:
         model = SpaCompressor(CompressorConfig(**TINY_CONFIG))
         reports = finite_difference_check(model, frames, sentences)
         assert any(not r.passed(1e-4) for r in reports)
+
+
+    def test_float32_model_is_rejected(self):
+        frames, sentences = generate(SyntheticVideoSpec(**TINY_VIDEO))
+        model = SpaCompressor(CompressorConfig(**{**TINY_CONFIG, "precision": "f32"}))
+        with pytest.raises(ValueError, match="needs precision f64, got f32"):
+            finite_difference_check(model, frames, sentences)
+
+    @pytest.mark.parametrize("mode", [MODE_FRAME, MODE_GLOBAL])
+    def test_staged_loss_equals_a_full_forward_bit_for_bit(self, mode):
+        # the sweep reruns only the stages downstream of the perturbed group;
+        # a stage missing from SpaCompressor.DOWNSTREAM would reuse a stale output
+        frames, sentences = generate(SyntheticVideoSpec(**TOY_VIDEO))
+        model = SpaCompressor(CompressorConfig(**{**TOY_CONFIG, "mode": mode}))
+        x = model.prepare_input(frames, sentences)
+        with autodiff.no_grad():
+            cached = model.run_stages(x)
+        for group, named in model.parameter_groups().items():
+            for name, node in (named[0], named[len(named) // 2], named[-1]):
+                flat = node.value.reshape(-1)
+                for k in (0, flat.size - 1):
+                    original = flat[k]
+                    flat[k] = original + 1e-3
+                    try:
+                        full = float(model.forward(frames, sentences).flattened.value.sum())
+                        with autodiff.no_grad():
+                            staged = staged_sum_loss(model, x, cached, group)
+                    finally:
+                        flat[k] = original
+                    assert staged == full, f"{group}.{name}[{k}]: {staged!r} != {full!r}"
 
 
 class TestFit:

@@ -1,4 +1,5 @@
 import bisect
+import dataclasses
 
 import numpy as np
 import pytest
@@ -44,6 +45,24 @@ class TestAlign:
         _, sentences = make_video([0], [(0, 1)])
         with pytest.raises(ValueError, match="at least one frame"):
             align_sentences([], sentences)
+
+    @pytest.mark.parametrize(
+        "frame_indices,sentence_indices,message",
+        [
+            ([1, 2, 3], [1, 2], "frame 1 at position 0"),
+            ([0, 2, 3], [1, 2], "frame 2 at position 1"),
+            ([0, 1, 2], [0, 1], "sentence 0 at position 1"),
+            ([0, 1, 2], [1, 1], "sentence 1 at position 2"),
+        ],
+    )
+    def test_indices_must_match_positions(self, frame_indices, sentence_indices, message):
+        # anchors are frame positions keyed by sentence index, so any other
+        # numbering would attach sentences to the wrong frames
+        frames, sentences = make_video([0, 1, 2], [(0.1, 0.4), (0.5, 0.9)])
+        frames = [dataclasses.replace(f, index=i) for f, i in zip(frames, frame_indices)]
+        sentences = [dataclasses.replace(s, index=j) for s, j in zip(sentences, sentence_indices)]
+        with pytest.raises(ValueError, match=message):
+            align_sentences(frames, sentences)
 
     @pytest.mark.parametrize("seed", range(50))
     def test_random_videos_match_bisect_oracle(self, seed):
