@@ -73,16 +73,15 @@ class Node:
     node created inside :func:`no_grad`.
     """
 
-    __slots__ = ("value", "parents", "vjps", "name")
+    __slots__ = ("value", "parents", "vjps")
 
-    def __init__(self, value, parents=(), vjps=(), name=""):
+    def __init__(self, value, parents=(), vjps=()):
         self.value = np.asarray(value)
         if _recording:
             self.parents = parents
             self.vjps = vjps
         else:
             self.parents = self.vjps = ()
-        self.name = name
 
     @property
     def shape(self):
@@ -97,8 +96,7 @@ class Node:
         return self.value.dtype
 
     def __repr__(self):
-        tag = f" {self.name!r}" if self.name else ""
-        return f"Node(shape={self.value.shape}{tag})"
+        return f"Node(shape={self.value.shape})"
 
     # arithmetic sugar; all routes through the op functions below
     def __add__(self, other):

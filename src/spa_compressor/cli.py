@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import analytics, golden
-from .compressor import MODE_FRAME, MODES, CompressorConfig, SpaCompressor
+from .compressor import INI_KEYS, MODES, CompressorConfig, SpaCompressor
 from .fitting import FitConfig, fit
 from .goldenio import write_tensor
 from .gradcheck import DEFAULT_STEP, DEFAULT_TOLERANCE, finite_difference_check
@@ -31,34 +31,18 @@ TOY = dict(dim=8, heads=2, scene_tokens=2, event_tokens=2, scene_layers=1, event
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
+    # each dest is its INI key; None: not given, so --config's value (else TOY) applies
     p.add_argument("--config", type=Path, help="INI file with a [compressor] section")
-    p.add_argument("--d", type=int, default=TOY["dim"])
-    p.add_argument("--heads", type=int, default=TOY["heads"])
-    p.add_argument("--s", type=int, default=TOY["scene_tokens"])
-    p.add_argument("--e", type=int, default=TOY["event_tokens"])
-    p.add_argument("--l-s", type=int, default=TOY["scene_layers"])
-    p.add_argument("--l-e", type=int, default=TOY["event_layers"])
-    p.add_argument("--l-v", type=int, default=TOY["vision_tokens_per_frame"])
-    p.add_argument("--mode", choices=MODES, default=MODE_FRAME)
+    for flag in ("--d", "--heads", "--s", "--e", "--l-s", "--l-e", "--l-v"):
+        p.add_argument(flag, type=int)
+    p.add_argument("--mode", choices=MODES)
 
 
 def _model_config(args) -> CompressorConfig:
-    """The model flags, or the ``--config`` INI; an explicit global
-    ``--seed``/``--precision`` overrides the INI's value."""
-    if args.config is not None:
-        config = CompressorConfig.from_ini(args.config)
-    else:
-        config = CompressorConfig(
-            dim=args.d,
-            heads=args.heads,
-            scene_tokens=args.s,
-            event_tokens=args.e,
-            scene_layers=args.l_s,
-            event_layers=args.l_e,
-            vision_tokens_per_frame=args.l_v,
-            mode=args.mode,
-        )
-    given = {"seed": args.seed, "precision": args.precision}
+    """Each model flag given explicitly (global ``--seed`` and ``--precision``
+    too), else the ``--config`` INI's value, else the toy default."""
+    config = CompressorConfig.from_ini(args.config) if args.config is not None else CompressorConfig(**TOY)
+    given = {field: getattr(args, key) for key, (field, _) in INI_KEYS.items()}
     return dataclasses.replace(config, **{k: v for k, v in given.items() if v is not None})
 
 

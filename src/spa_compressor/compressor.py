@@ -56,6 +56,45 @@ MODES = (MODE_GLOBAL, MODE_FRAME)
 _DTYPES = {"f32": np.float32, "f64": np.float64}
 
 
+# INI key -> (CompressorConfig field, value parser).  The seven shape keys
+# are required; mode, seed and precision default to the field defaults.
+INI_KEYS = {
+    "d": ("dim", int),
+    "heads": ("heads", int),
+    "s": ("scene_tokens", int),
+    "e": ("event_tokens", int),
+    "l_s": ("scene_layers", int),
+    "l_e": ("event_layers", int),
+    "l_v": ("vision_tokens_per_frame", int),
+    "mode": ("mode", str),
+    "seed": ("seed", int),
+    "precision": ("precision", str),
+}
+OPTIONAL_INI_KEYS = ("mode", "seed", "precision")
+
+
+def read_ini(path, what: str) -> configparser.ConfigParser:
+    """Parse the INI file ``path``; a parse error is a ``ValueError`` naming it."""
+    parser = configparser.ConfigParser()
+    try:
+        read = parser.read(str(path))
+    except configparser.Error as exc:
+        raise ValueError(f"{path}: {' '.join(str(exc).split())}") from None
+    if not read:
+        raise FileNotFoundError(f"{what} not found: {path}")
+    return parser
+
+
+def ini_value(section, key: str, parse, where: str):
+    """``section[key]`` converted by ``parse``; errors name ``where`` and the key."""
+    if key not in section:
+        raise ValueError(f"{where}: missing key {key!r}")
+    try:
+        return parse(section[key])
+    except (ValueError, configparser.Error) as exc:
+        raise ValueError(f"{where}: bad value for {key!r}: {exc}") from None
+
+
 @dataclass
 class CompressorConfig:
     dim: int = 64
@@ -68,7 +107,6 @@ class CompressorConfig:
     mode: str = MODE_FRAME
     seed: int = 0
     precision: str = "f64"
-    attention_bias: bool = True
 
     def __post_init__(self):
         if min(self.scene_tokens, self.event_tokens, self.scene_layers, self.event_layers) < 1:
@@ -85,24 +123,28 @@ class CompressorConfig:
         return _DTYPES[self.precision]
 
     @classmethod
+    def from_section(cls, section, where: str, extra=()) -> "CompressorConfig":
+        """The config an INI section describes; ``where`` names the file and
+        section in errors, and ``extra`` lists keys the caller parses itself."""
+        for key in section:
+            if key not in INI_KEYS and key not in extra:
+                raise ValueError(f"{where}: unknown key {key!r}")
+        fields = {
+            field: ini_value(section, key, parse, where)
+            for key, (field, parse) in INI_KEYS.items()
+            if key in section or key not in OPTIONAL_INI_KEYS
+        }
+        try:
+            return cls(**fields)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+
+    @classmethod
     def from_ini(cls, path) -> "CompressorConfig":
-        parser = configparser.ConfigParser()
-        read = parser.read(path)
-        if not read:
-            raise FileNotFoundError(f"config file not found: {path}")
-        sec = parser["compressor"]
-        return cls(
-            dim=sec.getint("d"),
-            heads=sec.getint("heads"),
-            scene_tokens=sec.getint("s"),
-            event_tokens=sec.getint("e"),
-            scene_layers=sec.getint("l_s"),
-            event_layers=sec.getint("l_e"),
-            vision_tokens_per_frame=sec.getint("l_v"),
-            mode=sec.get("mode", MODE_FRAME),
-            seed=sec.getint("seed", 0),
-            precision=sec.get("precision", "f64"),
-        )
+        parser = read_ini(path, "config file")
+        if not parser.has_section("compressor"):
+            raise ValueError(f"{path}: no [compressor] section")
+        return cls.from_section(parser["compressor"], f"{path} [compressor]")
 
 
 @dataclass
@@ -192,12 +234,11 @@ class SpaCompressor:
         dtype = config.dtype
         rng = np.random.default_rng(config.seed)
         bound = 1.0 / np.sqrt(d)
-        bias = config.attention_bias
 
         self.fusion = FusionParams(
             ln_asr=layer_norm_params(d, dtype),
             ln_vision=layer_norm_params(d, dtype),
-            attn=attention_params(d, h, rng, dtype, bias),
+            attn=attention_params(d, h, rng, dtype),
             ln_ffn=layer_norm_params(d, dtype),
             ffn=ffn_params(d, rng, dtype),
         )
@@ -207,7 +248,7 @@ class SpaCompressor:
             layers=[
                 SceneLayerParams(
                     ln_attn=layer_norm_params(d, dtype),
-                    attn=attention_params(d, h, rng, dtype, bias),
+                    attn=attention_params(d, h, rng, dtype),
                     ln_ffn=layer_norm_params(d, dtype),
                     ffn=ffn_params(d, rng, dtype),
                 )
@@ -220,9 +261,9 @@ class SpaCompressor:
             layers=[
                 EventLayerParams(
                     ln_self=layer_norm_params(d, dtype),
-                    self_attn=attention_params(d, h, rng, dtype, bias),
+                    self_attn=attention_params(d, h, rng, dtype),
                     ln_cross=layer_norm_params(d, dtype),
-                    cross_attn=attention_params(d, h, rng, dtype, bias),
+                    cross_attn=attention_params(d, h, rng, dtype),
                     ln_ffn=layer_norm_params(d, dtype),
                     ffn=ffn_params(d, rng, dtype),
                 )

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import configparser
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .compressor import CompressorConfig, SpaCompressor
+from .compressor import CompressorConfig, SpaCompressor, ini_value, read_ini
 from .goldenio import first_divergence, read_tensor, write_tensor
 from .synthetic import SyntheticVideoSpec, generate
 
@@ -29,34 +28,22 @@ class VerifyResult:
     detail: str
 
 
+VIDEO_KEYS = ("video_frames", "video_sentences", "video_seed")
+
+
 def load_manifest(path) -> list[GoldenCase]:
-    parser = configparser.ConfigParser()
-    if not parser.read(path):
-        raise FileNotFoundError(f"golden manifest not found: {path}")
+    parser = read_ini(path, "golden manifest")
     cases = []
     for section in parser.sections():
         if not section.startswith("case:"):
             continue
-        sec = parser[section]
-        config = CompressorConfig(
-            dim=sec.getint("d"),
-            heads=sec.getint("heads"),
-            scene_tokens=sec.getint("s"),
-            event_tokens=sec.getint("e"),
-            scene_layers=sec.getint("l_s"),
-            event_layers=sec.getint("l_e"),
-            vision_tokens_per_frame=sec.getint("l_v"),
-            mode=sec.get("mode"),
-            seed=sec.getint("seed"),
-            precision=sec.get("precision", "f64"),
-        )
-        video = SyntheticVideoSpec(
-            n_frames=sec.getint("video_frames"),
-            n_sentences=sec.getint("video_sentences"),
-            vision_tokens_per_frame=config.vision_tokens_per_frame,
-            dim=config.dim,
-            seed=sec.getint("video_seed"),
-        )
+        sec, where = parser[section], f"{path} [{section}]"
+        config = CompressorConfig.from_section(sec, where, extra=VIDEO_KEYS)
+        frames, sentences, seed = (ini_value(sec, key, int, where) for key in VIDEO_KEYS)
+        try:
+            video = SyntheticVideoSpec(frames, sentences, config.vision_tokens_per_frame, config.dim, seed=seed)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
         cases.append(GoldenCase(section.removeprefix("case:"), config, video))
     if not cases:
         raise ValueError(f"no [case:*] sections in golden manifest {path}")

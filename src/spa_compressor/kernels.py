@@ -46,12 +46,12 @@ def layer_norm_params(dim: int, dtype=np.float64) -> LayerNormParams:
     )
 
 
-def layer_norm(x: Node, p: LayerNormParams, eps: float = LAYER_NORM_EPS) -> Node:
+def layer_norm(x: Node, p: LayerNormParams) -> Node:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     check_finite(x.value, "layer_norm input")
     centered = x - ad.reduce_mean(x, axis=-1, keepdims=True)
     variance = ad.reduce_mean(centered * centered, axis=-1, keepdims=True)
-    normalized = centered * ad.power(variance + eps, -0.5)
+    normalized = centered * ad.power(variance + LAYER_NORM_EPS, -0.5)
     return normalized * p.scale + p.shift
 
 
@@ -62,37 +62,29 @@ class AttentionParams:
     wk: Node
     wv: Node
     wo: Node
-    bq: Node | None = None
-    bk: Node | None = None
-    bv: Node | None = None
-    bo: Node | None = None
+    bq: Node
+    bk: Node
+    bv: Node
+    bo: Node
 
     def parameters(self):
-        named = [("wq", self.wq), ("wk", self.wk), ("wv", self.wv), ("wo", self.wo)]
-        for name, b in (("bq", self.bq), ("bk", self.bk), ("bv", self.bv), ("bo", self.bo)):
-            if b is not None:
-                named.append((name, b))
-        return named
+        return [
+            ("wq", self.wq), ("wk", self.wk), ("wv", self.wv), ("wo", self.wo),
+            ("bq", self.bq), ("bk", self.bk), ("bv", self.bv), ("bo", self.bo),
+        ]
 
 
-def attention_params(
-    dim: int,
-    heads: int,
-    rng: np.random.Generator,
-    dtype=np.float64,
-    bias: bool = True,
-) -> AttentionParams:
+def attention_params(dim: int, heads: int, rng: np.random.Generator, dtype=np.float64) -> AttentionParams:
     if dim % heads != 0:
         raise ValueError(f"head count {heads} must divide model dim {dim}")
     bound = 1.0 / np.sqrt(dim)
     weights = [_param(rng, (dim, dim), bound, dtype) for _ in range(4)]
-    biases = [_param(rng, (dim,), bound, dtype) for _ in range(4)] if bias else [None] * 4
+    biases = [_param(rng, (dim,), bound, dtype) for _ in range(4)]
     return AttentionParams(heads, *weights, *biases)
 
 
-def _project(x: Node, w: Node, b: Node | None) -> Node:
-    out = x @ w
-    return out if b is None else out + b
+def _project(x: Node, w: Node, b: Node) -> Node:
+    return x @ w + b
 
 
 def _split_heads(x: Node, heads: int) -> Node:
@@ -207,13 +199,8 @@ class FfnParams:
         return [("w1", self.w1), ("b1", self.b1), ("w2", self.w2), ("b2", self.b2)]
 
 
-def ffn_params(
-    dim: int,
-    rng: np.random.Generator,
-    dtype=np.float64,
-    hidden: int | None = None,
-) -> FfnParams:
-    hidden = FFN_HIDDEN_MULT * dim if hidden is None else hidden
+def ffn_params(dim: int, rng: np.random.Generator, dtype=np.float64) -> FfnParams:
+    hidden = FFN_HIDDEN_MULT * dim
     bound = 1.0 / np.sqrt(dim)
     return FfnParams(
         w1=_param(rng, (dim, hidden), bound, dtype),

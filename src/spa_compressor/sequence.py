@@ -11,6 +11,7 @@ is dropped.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,15 +99,8 @@ def align_sentences(frames: list[Frame], sentences: list[AsrSentence]) -> dict[i
     """Anchor each sentence to the latest frame at or before its end time."""
     validate_frames(frames)
     validate_sentences(sentences)
-    times = [f.time_seconds for f in frames]
-    anchors: dict[int, int] = {}
-    for s in sentences:
-        anchor = 0
-        for i, t in enumerate(times):
-            if t <= s.end:
-                anchor = i
-        anchors[s.index] = anchor
-    return anchors
+    times = [f.time_seconds for f in frames]  # strictly increasing
+    return {s.index: max(bisect_right(times, s.end) - 1, 0) for s in sentences}
 
 
 def build_sequence(

@@ -1,5 +1,6 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 from spa_compressor.cli import main
@@ -13,6 +14,8 @@ TINY_FLAGS = [
     "--d", "4", "--heads", "2", "--s", "1", "--e", "1",
     "--l-s", "1", "--l-e", "1", "--l-v", "1",
 ]
+COMPRESSOR_INI = "[compressor]\nd = 8\nheads = 2\ns = 2\ne = 2\nl_s = 1\nl_e = 1\nl_v = 2\n"
+GOLDEN_CASE = COMPRESSOR_INI.replace("[compressor]", "[case:toy]") + "video_sentences = 2\nvideo_seed = 1\n"
 
 
 def run_cli(*argv):
@@ -148,6 +151,57 @@ class TestGenerateAndRun:
         assert seed_9 != seed_3
         assert int.from_bytes(seed_9[8:12], "little") == 8
         assert int.from_bytes(seed_10_f32[8:12], "little") == 4  # SPAT element width
+
+    def test_model_flags_override_the_ini(self, tmp_path):
+        ini = tmp_path / "c.ini"
+        ini.write_text(COMPRESSOR_INI + "mode = frame-conditioned\nseed = 3\n")
+        video_dir = tmp_path / "video"
+        run_cli("generate", "--out", str(video_dir), "--frames", "3", "--d", "8")
+        manifest = str(video_dir / "video.manifest")
+
+        def run(name, *argv):
+            out = tmp_path / name
+            assert run_cli(*argv, "--manifest", manifest, "--out", str(out)) == 0
+            return out
+
+        flagged = read_tensor(run("flags.spat", "run", "--config", str(ini), "--s", "5",
+                                  "--mode", "global-context"))
+        assert flagged.shape == (1, 5 + 3 * (1 + 2), 8)
+        events = flagged[0, 5:].reshape(3, 1 + 2, 8)[:, 1:]
+        np.testing.assert_array_equal(events, np.broadcast_to(events[:1], events.shape))
+        # the INI alone matches the same shape given as flags over the toy defaults
+        ini_only = run("ini.spat", "run", "--config", str(ini)).read_bytes()
+        flags_only = run("seed.spat", "--seed", "3", "run", "--d", "8", "--l-v", "2").read_bytes()
+        assert ini_only == flags_only
+
+
+@pytest.mark.parametrize(
+    "command, text, named",
+    [
+        ("run", COMPRESSOR_INI.replace("d = 8\n", ""), "missing key 'd'"),
+        ("run", COMPRESSOR_INI.replace("d = 8", "d = abc"), "bad value for 'd'"),
+        ("run", COMPRESSOR_INI.replace("[compressor]\n", ""), "no section headers"),
+        ("run", COMPRESSOR_INI.replace("[compressor]", "[model]"), "no [compressor] section"),
+        ("run", COMPRESSOR_INI + "scene_tokens = 9\n", "[compressor]: unknown key 'scene_tokens'"),
+        ("golden", GOLDEN_CASE, "[case:toy]: missing key 'video_frames'"),
+        ("golden", GOLDEN_CASE + "video_frames = 0\n", "[case:toy]: need at least one frame"),
+    ],
+    ids=["missing-key", "bad-int", "no-header", "no-section", "unknown-key",
+         "golden-missing-video-key", "golden-bad-video"],
+)
+def test_malformed_ini_is_one_error_line(tmp_path, capsys, command, text, named):
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    argv = {
+        "run": ["run", "--config", str(path), "--manifest", str(tmp_path / "v.manifest"),
+                "--out", str(tmp_path / "o.spat")],
+        "golden": ["golden", "emit", "--manifest", str(path), "--dir", str(tmp_path / "golden")],
+    }[command]
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}")
+    assert named in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestGradcheckCommand:

@@ -25,10 +25,7 @@ def np_params(p: AttentionParams):
     return dict(
         heads=p.heads,
         wq=p.wq.value, wk=p.wk.value, wv=p.wv.value, wo=p.wo.value,
-        bq=None if p.bq is None else p.bq.value,
-        bk=None if p.bk is None else p.bk.value,
-        bv=None if p.bv is None else p.bv.value,
-        bo=None if p.bo is None else p.bo.value,
+        bq=p.bq.value, bk=p.bk.value, bv=p.bv.value, bo=p.bo.value,
     )
 
 
@@ -99,7 +96,7 @@ class TestAttention:
         rng = np.random.default_rng(seed)
         dim = int(rng.choice([4, 8]))
         heads = int(rng.choice([1, 2]))
-        p = attention_params(dim, heads, rng, bias=bool(seed % 2))
+        p = attention_params(dim, heads, rng)
         q = rng.standard_normal((2, int(rng.integers(1, 5)), dim))
         kv = rng.standard_normal((2, int(rng.integers(1, 6)), dim))
         expected = naive_attention(q, kv, **np_params(p))

@@ -82,6 +82,14 @@ class TestAlign:
             pos = bisect.bisect_right(list(times), s.end) - 1
             assert anchors[s.index] == max(pos, 0)
 
+    @pytest.mark.parametrize("end", [0.5, 1.0, 1.5, 2.0, 3.0, 3.5])
+    def test_end_on_or_between_frame_times_matches_linear_scan(self, end):
+        times = [1.0, 2.0, 3.0]
+        frames, sentences = make_video(times, [(0.0, end)])
+        # reference: the last frame at or before the end, else frame 0
+        expected = max([i for i, t in enumerate(times) if t <= end], default=0)
+        assert align_sentences(frames, sentences) == {1: expected}
+
 
 class TestBuild:
     def test_two_frame_one_sentence_pattern(self):
