@@ -7,21 +7,34 @@ which walks the graph in reverse topological order.  Everything is pure
 numpy, double precision by default, and bit-deterministic: the same inputs
 always produce the same graph and the same gradients.
 
+The ops here are the generic building blocks.  The hot kernels are fused
+nodes built outside this module: ``kernels.layer_norm``,
+``kernels.attention_core`` and ``time_encoder.gru_step``.  Each is one node
+over all its inputs with closed-form VJPs, and its forward runs the same
+numpy operations, in the same order, as the op-by-op graph it fuses, so its
+values are bit-identical to that graph.  A fused node shares one backward
+computation between the VJPs of its parents through :func:`shared_vjps`.
+
 Inside :func:`no_grad` the ops compute the same values but record no
 graph: every node they create is a leaf, so intermediate values are freed
-as soon as nothing refers to them.
+as soon as nothing refers to them.  Fused nodes check :func:`recording` and
+build no VJP closures there.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from itertools import accumulate
 
 import numpy as np
-from scipy.special import erf as _erf, expit as _expit
+from scipy.special import erf as _erf
 
 __all__ = [
     "Node",
     "no_grad",
+    "recording",
+    "shared_vjps",
+    "unbroadcast",
     "as_node",
     "add",
     "sub",
@@ -29,18 +42,11 @@ __all__ = [
     "div",
     "neg",
     "matmul",
-    "power",
-    "exp",
-    "tanh",
-    "sigmoid",
     "gelu",
-    "softmax",
     "reduce_sum",
     "reduce_mean",
     "reshape",
     "broadcast_to",
-    "transpose",
-    "swapaxes",
     "concat",
     "getitem",
     "backward",
@@ -62,6 +68,11 @@ def no_grad():
         yield
     finally:
         _recording = previous
+
+
+def recording() -> bool:
+    """Whether new nodes record parents and VJPs (false inside :func:`no_grad`)."""
+    return _recording
 
 
 class Node:
@@ -127,9 +138,6 @@ class Node:
     def __matmul__(self, other):
         return matmul(self, other)
 
-    def __pow__(self, exponent):
-        return power(self, exponent)
-
     def __getitem__(self, idx):
         return getitem(self, idx)
 
@@ -148,7 +156,7 @@ def _coerce_pair(a, b) -> tuple[Node, Node]:
     return as_node(a), as_node(b)
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
+def unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum ``grad`` down to ``shape``, undoing numpy broadcasting."""
     if grad.shape == shape:
         return grad
@@ -161,14 +169,40 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
+def shared_vjps(grads, count: int) -> tuple:
+    """``count`` VJPs, one per parent, that share one call of ``grads(g)``,
+    which returns every parent's gradient at once.
+
+    :func:`backward` calls a node's VJPs one after another with the same
+    upstream gradient, so a fused node's backward work runs once per
+    upstream gradient, not once per parent.  Each gradient is released as
+    soon as its parent has taken it.
+    """
+    memo = {}
+
+    def make(i):
+        def vjp(g):
+            if memo.get("g") is not g:
+                memo.clear()
+                memo.update(enumerate(grads(g)), g=g)
+            out = memo.pop(i)
+            if len(memo) == 1:
+                memo.clear()
+            return out
+
+        return vjp
+
+    return tuple(make(i) for i in range(count))
+
+
 def add(a, b) -> Node:
     a, b = _coerce_pair(a, b)
     return Node(
         a.value + b.value,
         (a, b),
         (
-            lambda g: _unbroadcast(g, a.value.shape),
-            lambda g: _unbroadcast(g, b.value.shape),
+            lambda g: unbroadcast(g, a.value.shape),
+            lambda g: unbroadcast(g, b.value.shape),
         ),
     )
 
@@ -179,8 +213,8 @@ def sub(a, b) -> Node:
         a.value - b.value,
         (a, b),
         (
-            lambda g: _unbroadcast(g, a.value.shape),
-            lambda g: _unbroadcast(-g, b.value.shape),
+            lambda g: unbroadcast(g, a.value.shape),
+            lambda g: unbroadcast(-g, b.value.shape),
         ),
     )
 
@@ -196,8 +230,8 @@ def mul(a, b) -> Node:
         a.value * b.value,
         (a, b),
         (
-            lambda g: _unbroadcast(g * b.value, a.value.shape),
-            lambda g: _unbroadcast(g * a.value, b.value.shape),
+            lambda g: unbroadcast(g * b.value, a.value.shape),
+            lambda g: unbroadcast(g * a.value, b.value.shape),
         ),
     )
 
@@ -209,8 +243,8 @@ def div(a, b) -> Node:
         out,
         (a, b),
         (
-            lambda g: _unbroadcast(g / b.value, a.value.shape),
-            lambda g: _unbroadcast(-g * out / b.value, b.value.shape),
+            lambda g: unbroadcast(g / b.value, a.value.shape),
+            lambda g: unbroadcast(-g * out / b.value, b.value.shape),
         ),
     )
 
@@ -219,42 +253,27 @@ def matmul(a, b) -> Node:
     a, b = as_node(a), as_node(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError("matmul expects operands of rank >= 2")
+    if a.ndim > 2 and b.ndim == 2:
+        # a shared 2-D operand (weights): fold the leading axes into the rows
+        # of one 2-D GEMM per gradient, instead of a batched product that the
+        # (K, N) gradient then sums over
+        k, n = b.shape
+        return Node(
+            a.value @ b.value,
+            (a, b),
+            (
+                lambda g: (g.reshape(-1, n) @ b.value.T).reshape(a.value.shape),
+                lambda g: a.value.reshape(-1, k).T @ g.reshape(-1, n),
+            ),
+        )
     return Node(
         a.value @ b.value,
         (a, b),
         (
-            lambda g: _unbroadcast(g @ b.value.swapaxes(-1, -2), a.value.shape),
-            lambda g: _unbroadcast(a.value.swapaxes(-1, -2) @ g, b.value.shape),
+            lambda g: unbroadcast(g @ b.value.swapaxes(-1, -2), a.value.shape),
+            lambda g: unbroadcast(a.value.swapaxes(-1, -2) @ g, b.value.shape),
         ),
     )
-
-
-def power(a, exponent: float) -> Node:
-    a = as_node(a)
-    e = float(exponent)
-    return Node(
-        a.value**e,
-        (a,),
-        (lambda g: g * e * a.value ** (e - 1.0),),
-    )
-
-
-def exp(a) -> Node:
-    a = as_node(a)
-    out = np.exp(a.value)
-    return Node(out, (a,), (lambda g: g * out,))
-
-
-def tanh(a) -> Node:
-    a = as_node(a)
-    out = np.tanh(a.value)
-    return Node(out, (a,), (lambda g: g * (1.0 - out * out),))
-
-
-def sigmoid(a) -> Node:
-    a = as_node(a)
-    out = _expit(a.value).astype(a.value.dtype)
-    return Node(out, (a,), (lambda g: g * out * (1.0 - out),))
 
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -271,22 +290,6 @@ def gelu(a) -> Node:
     def vjp(g):
         pdf = _INV_SQRT2PI * np.exp(-0.5 * x * x)
         return g * (cdf + x * pdf)
-
-    return Node(out, (a,), (vjp,))
-
-
-def softmax(a) -> Node:
-    """Numerically stable softmax over the last axis."""
-    a = as_node(a)
-    # one buffer, updated in place: score-sized temporaries dominate the
-    # memory of wide attention
-    out = a.value - a.value.max(axis=-1, keepdims=True)
-    np.exp(out, out=out)
-    out /= out.sum(axis=-1, keepdims=True)
-
-    def vjp(g):
-        inner = (g * out).sum(axis=-1, keepdims=True)
-        return out * (g - inner)
 
     return Node(out, (a,), (vjp,))
 
@@ -325,41 +328,19 @@ def broadcast_to(a, shape) -> Node:
     return Node(
         np.broadcast_to(a.value, shape),
         (a,),
-        (lambda g: _unbroadcast(g, a.value.shape),),
+        (lambda g: unbroadcast(g, a.value.shape),),
     )
-
-
-def transpose(a, axes) -> Node:
-    a = as_node(a)
-    inverse = np.argsort(axes)
-    return Node(
-        a.value.transpose(axes),
-        (a,),
-        (lambda g: g.transpose(inverse),),
-    )
-
-
-def swapaxes(a, axis1: int, axis2: int) -> Node:
-    a = as_node(a)
-    axes = list(range(a.ndim))
-    axes[axis1], axes[axis2] = axes[axis2], axes[axis1]
-    return transpose(a, axes)
 
 
 def concat(nodes, axis: int = 0) -> Node:
     nodes = [as_node(n) for n in nodes]
     if not nodes:
         raise ValueError("concat of an empty node list")
-    sizes = [n.value.shape[axis] for n in nodes]
-    splits = np.cumsum(sizes)[:-1]
-
-    def make_vjp(i):
-        return lambda g: np.split(g, splits, axis=axis)[i]
-
+    splits = list(accumulate(n.value.shape[axis] for n in nodes))[:-1]
     return Node(
         np.concatenate([n.value for n in nodes], axis=axis),
         tuple(nodes),
-        tuple(make_vjp(i) for i in range(len(nodes))),
+        shared_vjps(lambda g: np.split(g, splits, axis=axis), len(nodes)),
     )
 
 

@@ -2,6 +2,11 @@
 
 All kernels take and return :class:`~spa_compressor.autodiff.Node` values so
 both the forward result and analytic gradients come from one code path.
+Layer norm and the attention core (head split, scores, softmax, weighted
+sum, head merge) are fused nodes: one node each with closed-form numpy VJPs,
+whose forward runs the same numpy operations, in the same order, as the
+op-by-op graph it fuses, so its values are bit-identical to that graph.  The
+attention projections and the FFN are ``matmul``/``add``/``gelu`` nodes.
 Weights are initialized uniformly in [-1/sqrt(D), 1/sqrt(D)] from a seeded
 generator, which makes every run bit-reproducible.
 """
@@ -47,12 +52,37 @@ def layer_norm_params(dim: int, dtype=np.float64) -> LayerNormParams:
 
 
 def layer_norm(x: Node, p: LayerNormParams) -> Node:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+    """Normalize the last axis to zero mean / unit variance, then affine.
+
+    One node over ``(x, scale, shift)``.  The mean and variance are sums
+    times a ``1/D`` cast to the dtype, as ``reduce_mean`` computes them.
+    """
     check_finite(x.value, "layer_norm input")
-    centered = x - ad.reduce_mean(x, axis=-1, keepdims=True)
-    variance = ad.reduce_mean(centered * centered, axis=-1, keepdims=True)
-    normalized = centered * ad.power(variance + LAYER_NORM_EPS, -0.5)
-    return normalized * p.scale + p.shift
+    xv, scale, shift = x.value, p.scale.value, p.shift.value
+    inv_dim = np.asarray(1.0 / xv.shape[-1], dtype=xv.dtype)
+    centered = xv - xv.sum(axis=-1, keepdims=True) * inv_dim
+    variance = (centered * centered).sum(axis=-1, keepdims=True) * inv_dim
+    inv_std = (variance + np.asarray(LAYER_NORM_EPS, dtype=xv.dtype)) ** -0.5
+    normalized = centered * inv_std
+    out = normalized * scale + shift
+    if not ad.recording():
+        return Node(out)
+
+    def vjp_x(g):
+        gn = g * scale
+        mean_gn = gn.mean(axis=-1, keepdims=True)
+        mean_gn_n = (gn * normalized).mean(axis=-1, keepdims=True)
+        return inv_std * (gn - mean_gn - normalized * mean_gn_n)
+
+    return Node(
+        out,
+        (x, p.scale, p.shift),
+        (
+            vjp_x,
+            lambda g: ad.unbroadcast(g * normalized, scale.shape),
+            lambda g: ad.unbroadcast(g, shift.shape),
+        ),
+    )
 
 
 @dataclass
@@ -85,21 +115,6 @@ def attention_params(dim: int, heads: int, rng: np.random.Generator, dtype=np.fl
 
 def _project(x: Node, w: Node, b: Node) -> Node:
     return x @ w + b
-
-
-def _split_heads(x: Node, heads: int) -> Node:
-    b, length, dim = x.shape
-    head_dim = dim // heads
-    x = ad.reshape(x, (b, length, heads, head_dim))
-    x = ad.transpose(x, (0, 2, 1, 3))
-    return ad.reshape(x, (b * heads, length, head_dim))
-
-
-def _merge_heads(x: Node, batch: int, heads: int) -> Node:
-    _, length, head_dim = x.shape
-    x = ad.reshape(x, (batch, heads, length, head_dim))
-    x = ad.transpose(x, (0, 2, 1, 3))
-    return ad.reshape(x, (batch, length, heads * head_dim))
 
 
 def _check_context(q: Node, kv: Node) -> None:
@@ -144,30 +159,72 @@ def shared_prefix_kv(shared: Node, rows: Node, p: AttentionParams) -> tuple[Node
     return join(k_shared, k_rows), join(v_shared, v_rows)
 
 
+def attention_core(q: Node, k: Node, v: Node, heads: int) -> tuple[Node, np.ndarray]:
+    """softmax(q k^T) v per head for (batch, L, D) queries ``q``, already
+    scaled, and projected keys ``k`` and values ``v``: head split, scores,
+    softmax over the key axis, weighted sum and head merge as one node over
+    ``(q, k, v)``.
+
+    Returns the (batch, Lq, D) node and the (batch*heads, Lq, Lkv) weights.
+    The node keeps only what its VJP reads, the head-split q/k/v and the
+    weights; the VJP computes the softmax gradient once for all three
+    parents.
+    """
+    batch, l_q, dim = q.shape
+    l_kv = k.shape[1]
+    head_dim = dim // heads
+
+    def split(a, length):
+        a = a.reshape(batch, length, heads, head_dim).transpose(0, 2, 1, 3)
+        return a.reshape(batch * heads, length, head_dim)
+
+    def merge(a, length):
+        a = a.reshape(batch, heads, length, head_dim).transpose(0, 2, 1, 3)
+        return a.reshape(batch, length, dim)
+
+    qh, kh, vh = split(q.value, l_q), split(k.value, l_kv), split(v.value, l_kv)
+    # the score buffer becomes the weights in place
+    weights = qh @ kh.transpose(0, 2, 1)
+    weights -= weights.max(axis=-1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    out = merge(weights @ vh, l_q)
+    if not ad.recording():
+        return Node(out), weights
+
+    def grads(g):
+        gh = split(g, l_q)
+        d_weights = gh @ vh.transpose(0, 2, 1)
+        d_scores = weights * (d_weights - (d_weights * weights).sum(axis=-1, keepdims=True))
+        return (
+            merge(d_scores @ kh, l_q),
+            merge(d_scores.transpose(0, 2, 1) @ qh, l_kv),
+            merge(weights.transpose(0, 2, 1) @ gh, l_kv),
+        )
+
+    return Node(out, (q, k, v), ad.shared_vjps(grads, 3)), weights
+
+
 def attend(q: Node, k: Node, v: Node, p: AttentionParams, return_weights: bool = False):
     """Multi-head scaled-dot-product attention of queries ``q`` into
     projected keys ``k`` and values ``v``, each (batch, Lkv, D).
 
     Softmax runs over the key axis with scale 1/sqrt(head_dim), applied to
-    the queries; no mask.  With ``return_weights`` also returns the
-    (batch*heads, Lq, Lkv) rows.
+    the projected queries; no mask.  The q and output projections are
+    ``matmul``/``add`` nodes around :func:`attention_core`.  With
+    ``return_weights`` also returns the core's (batch*heads, Lq, Lkv)
+    weights as a constant node.
     """
     _check_context(q, k)
     if v.shape != k.shape:
         raise ValueError(f"key/value shape mismatch: {k.shape} vs {v.shape}")
     check_finite(q.value, "attention query input")
 
-    batch, _, dim = q.shape
-    scale = 1.0 / np.sqrt(dim // p.heads)
-    qh = _split_heads(_project(q, p.wq, p.bq) * scale, p.heads)
-    kh = _split_heads(k, p.heads)
-    vh = _split_heads(v, p.heads)
-
-    weights = ad.softmax(qh @ ad.swapaxes(kh, -1, -2))
-    context = _merge_heads(weights @ vh, batch, p.heads)
+    scale = 1.0 / np.sqrt(q.shape[2] // p.heads)
+    context, weights = attention_core(_project(q, p.wq, p.bq) * scale, k, v, p.heads)
     out = _project(context, p.wo, p.bo)
     if return_weights:
-        return out, weights
+        return out, Node(weights)
     return out
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from .goldenio import read_tensor, write_tensor
+from .kernels import check_finite
 from .sequence import AsrSentence, Frame, validate_frames, validate_sentences
 
 
@@ -34,12 +35,23 @@ def write_video(directory, frames: list[Frame], sentences: list[AsrSentence]) ->
     return path
 
 
+def _read_finite(path: Path):
+    """A SPAT tensor that holds no NaN or infinity."""
+    tensor = read_tensor(path)
+    check_finite(tensor, str(path))
+    return tensor
+
+
 def read_video(manifest_path) -> tuple[list[Frame], list[AsrSentence]]:
     manifest_path = Path(manifest_path)
     base = manifest_path.parent
     frames: list[Frame] = []
     sentences: list[AsrSentence] = []
-    for lineno, raw in enumerate(manifest_path.read_text().splitlines(), start=1):
+    try:
+        text = manifest_path.read_text()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{manifest_path}: not UTF-8 text: {exc}") from exc
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -48,10 +60,10 @@ def read_video(manifest_path) -> tuple[list[Frame], list[AsrSentence]]:
         try:
             if kind == "frame":
                 index, time_s, rel = int(fields[1]), float(fields[2]), fields[3]
-                frames.append(Frame(index, time_s, read_tensor(base / rel)))
+                frames.append(Frame(index, time_s, _read_finite(base / rel)))
             elif kind == "sentence":
                 index, start, end, rel = int(fields[1]), float(fields[2]), float(fields[3]), fields[4]
-                sentences.append(AsrSentence(index, start, end, read_tensor(base / rel)))
+                sentences.append(AsrSentence(index, start, end, _read_finite(base / rel)))
             else:
                 raise ValueError(f"unknown record kind {kind!r}")
         except (IndexError, ValueError) as exc:

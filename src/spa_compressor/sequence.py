@@ -11,10 +11,13 @@ is dropped.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .time_encoder import MAX_TIME_SECONDS
 
 TIMESTAMP = "timestamp"
 VISION = "vision"
@@ -54,6 +57,12 @@ class InterleavedSequence:
         return sum(e.length for e in self.elements)
 
 
+def _check_time(t: float, what: str) -> None:
+    # NaN fails every comparison, so test for the range, not against it
+    if not (math.isfinite(t) and 0 <= t < MAX_TIME_SECONDS):
+        raise ValueError(f"{what} must be finite and in [0, {MAX_TIME_SECONDS:.0f}) seconds, got {t}")
+
+
 def validate_frames(frames: list[Frame]) -> None:
     if not frames:
         raise ValueError("a video needs at least one frame")
@@ -63,6 +72,7 @@ def validate_frames(frames: list[Frame]) -> None:
                 f"frame {f.index} at position {i}: frame indices must be 0, 1, 2, ... "
                 "with no gaps or repeats"
             )
+        _check_time(f.time_seconds, f"frame {f.index}: time")
     widths = {f.vision_tokens.shape for f in frames}
     if len(widths) != 1:
         raise ValueError(f"frames disagree on vision token shape: {sorted(widths)}")
@@ -72,8 +82,6 @@ def validate_frames(frames: list[Frame]) -> None:
                 f"frame times must be strictly increasing: "
                 f"frame {cur.index} at {cur.time_seconds} after {prev.time_seconds}"
             )
-    if frames[0].time_seconds < 0:
-        raise ValueError("frame times must be non-negative")
 
 
 def validate_sentences(sentences: list[AsrSentence]) -> None:
@@ -83,6 +91,8 @@ def validate_sentences(sentences: list[AsrSentence]) -> None:
                 f"sentence {s.index} at position {j + 1}: sentence indices must be 1, 2, 3, ... "
                 "with no gaps or repeats"
             )
+        _check_time(s.start, f"sentence {s.index}: start")
+        _check_time(s.end, f"sentence {s.index}: end")
         if s.start > s.end:
             raise ValueError(f"sentence {s.index} has start {s.start} > end {s.end}")
         if s.tokens.ndim != 2 or s.tokens.shape[0] < 1:

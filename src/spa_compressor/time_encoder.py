@@ -5,6 +5,10 @@ decimal place ("73.5"), each character is looked up in a learned digit
 embedding table, and a gated recurrent (GRU) cell consumes the characters
 left to right.  The final hidden state is the timestamp embedding.  This
 keeps arbitrarily large times representable without magnitude saturation.
+
+Each GRU step is one fused autodiff node (:func:`gru_step`) whose forward
+runs the same numpy operations, in the same order, as the op-by-op gate
+graph, so its values are bit-identical to that graph.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 
 from . import autodiff as ad
 from .autodiff import Node
@@ -72,15 +77,56 @@ def render_time(t: float) -> str:
     return f"{t:.1f}"
 
 
+def gru_step(x: Node, h: Node, p: TimeEncoderParams) -> Node:
+    """One GRU step from input ``x`` and state ``h``, each (batch, D):
+
+        z = sigmoid(x W_z + h U_z + b_z)        r = sigmoid(x W_r + h U_r + b_r)
+        n = tanh(x W_n + (r * h) U_n + b_n)     h' = (1 - z) * n + z * h
+
+    One node over ``x``, ``h`` and the nine gate parameters (the embedding
+    table is not used); the VJP computes all eleven gradients at once.
+    """
+    xv, hv = x.value, h.value
+    dtype = hv.dtype
+    w_z, u_z, w_r, u_r, w_n, u_n = (
+        m.value for m in (p.w_update, p.u_update, p.w_reset, p.u_reset, p.w_cand, p.u_cand)
+    )
+    z = expit(xv @ w_z + hv @ u_z + p.b_update.value).astype(dtype)
+    r = expit(xv @ w_r + hv @ u_r + p.b_reset.value).astype(dtype)
+    rh = r * hv
+    n = np.tanh(xv @ w_n + rh @ u_n + p.b_cand.value)
+    out = (np.asarray(1.0, dtype=dtype) - z) * n + z * hv
+    if not ad.recording():
+        return Node(out)
+
+    def grads(g):
+        d_n = g * (1.0 - z) * (1.0 - n * n)
+        d_rh = d_n @ u_n.T
+        d_z = g * (hv - n) * z * (1.0 - z)
+        d_r = d_rh * hv * r * (1.0 - r)
+        d_x = d_z @ w_z.T + d_r @ w_r.T + d_n @ w_n.T
+        d_h = g * z + d_rh * r + d_z @ u_z.T + d_r @ u_r.T
+        return (
+            d_x, d_h,
+            xv.T @ d_z, hv.T @ d_z, d_z.sum(axis=0),
+            xv.T @ d_r, hv.T @ d_r, d_r.sum(axis=0),
+            xv.T @ d_n, rh.T @ d_n, d_n.sum(axis=0),
+        )
+
+    parents = (
+        x, h,
+        p.w_update, p.u_update, p.b_update,
+        p.w_reset, p.u_reset, p.b_reset,
+        p.w_cand, p.u_cand, p.b_cand,
+    )
+    return Node(out, parents, ad.shared_vjps(grads, len(parents)))
+
+
 def encode_timestamp(t: float, p: TimeEncoderParams) -> Node:
     """Embed a timestamp; returns the final (D,) GRU hidden state."""
     text = render_time(t)
-    dtype = p.embed.value.dtype
-    h = Node(np.zeros((1, p.dim), dtype=dtype))
+    h = Node(np.zeros((1, p.dim), dtype=p.embed.value.dtype))
     for ch in text:
-        x = ad.reshape(p.embed[DIGIT_ALPHABET.index(ch)], (1, p.dim))
-        z = ad.sigmoid(x @ p.w_update + h @ p.u_update + p.b_update)
-        r = ad.sigmoid(x @ p.w_reset + h @ p.u_reset + p.b_reset)
-        n = ad.tanh(x @ p.w_cand + (r * h) @ p.u_cand + p.b_cand)
-        h = (1.0 - z) * n + z * h
+        i = DIGIT_ALPHABET.index(ch)
+        h = gru_step(p.embed[i : i + 1], h, p)
     return ad.reshape(h, (p.dim,))

@@ -85,3 +85,26 @@ def naive_attention(q, kv, heads, wq, wk, wv, wo, bq=None, bk=None, bv=None, bo=
                     mixed[i, c] = acc
         out[b] = naive_linear(mixed, wo, bo)
     return out
+
+
+def naive_encode_timestamp(t, embed, w_update, u_update, b_update, w_reset, u_reset, b_reset, w_cand, u_cand, b_cand):
+    """Character-level GRU over the one-decimal rendering of ``t``, one
+    scalar at a time; returns the final (D,) hidden state."""
+    alphabet = "0123456789."
+    dim = embed.shape[1]
+
+    def preactivation(x, state, w, u, b, j):
+        acc = float(b[j])
+        for k in range(dim):
+            acc += x[k] * w[k, j] + state[k] * u[k, j]
+        return acc
+
+    h = [0.0] * dim
+    for ch in "%.1f" % t:
+        x = [float(v) for v in embed[alphabet.index(ch)]]
+        z = [1.0 / (1.0 + math.exp(-preactivation(x, h, w_update, u_update, b_update, j))) for j in range(dim)]
+        r = [1.0 / (1.0 + math.exp(-preactivation(x, h, w_reset, u_reset, b_reset, j))) for j in range(dim)]
+        rh = [r[k] * h[k] for k in range(dim)]
+        n = [math.tanh(preactivation(x, rh, w_cand, u_cand, b_cand, j)) for j in range(dim)]
+        h = [(1.0 - z[j]) * n[j] + z[j] * h[j] for j in range(dim)]
+    return np.array(h)

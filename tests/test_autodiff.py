@@ -3,6 +3,8 @@ import pytest
 
 from spa_compressor import autodiff as ad
 from spa_compressor.autodiff import Node
+from spa_compressor.kernels import LayerNormParams, attention_core, layer_norm, layer_norm_params
+from spa_compressor.time_encoder import TimeEncoderParams, gru_step
 
 
 def fd_grad(fn, x, step=1e-6):
@@ -31,6 +33,16 @@ def check_op(build, *arrays, tol=1e-7):
         np.testing.assert_allclose(analytic, numeric, rtol=tol, atol=tol)
 
 
+GRU_WEIGHTS = [(4, 4), (4, 4), (4,)] * 3  # W, U, b of the update, reset and candidate gates
+
+# the fused nodes: one node each over all their inputs, closed-form VJPs
+FUSED = [
+    (lambda x, s, b: layer_norm(x, LayerNormParams(s, b)), [(2, 3, 4), (4,), (4,)]),
+    (lambda q, k, v: attention_core(q, k, v, heads=2)[0], [(2, 3, 4), (2, 5, 4), (2, 5, 4)]),
+    (lambda x, h, *w: gru_step(x, h, TimeEncoderParams(4, None, *w)), [(1, 4), (1, 4)] + GRU_WEIGHTS),
+    (lambda x, h, *w: gru_step(x, h, TimeEncoderParams(4, None, *w)), [(2, 4), (2, 4)] + GRU_WEIGHTS),
+]
+
 OPS = [
     (lambda a, b: a + b, [(3, 4), (3, 4)]),
     (lambda a, b: a + b, [(3, 4), (4,)]),  # broadcast
@@ -39,20 +51,17 @@ OPS = [
     (lambda a, b: a / b, [(2, 3), (2, 3)]),
     (lambda a, b: a @ b, [(3, 4), (4, 5)]),
     (lambda a, b: a @ b, [(2, 3, 4), (4, 5)]),  # batched vs shared
-    (lambda a: ad.tanh(a), [(3, 3)]),
-    (lambda a: ad.exp(a), [(2, 2)]),
-    (lambda a: ad.sigmoid(a), [(3, 2)]),
+    (lambda a, b: a @ b, [(2, 2, 3, 4), (4, 5)]),  # two batch axes vs shared
+    (lambda a, b: a @ b, [(3, 4), (2, 4, 5)]),  # shared vs batched
     (lambda a: ad.gelu(a), [(4, 3)]),
-    (lambda a: ad.softmax(a), [(3, 5)]),
-    (lambda a: ad.power(a + 2.0, -0.5), [(3, 3)]),
     (lambda a: ad.reduce_sum(a, axis=1, keepdims=True) * a, [(3, 4)]),
     (lambda a: ad.reduce_mean(a, axis=-1, keepdims=True) - a, [(2, 5)]),
     (lambda a: ad.reshape(a, (6, 2)), [(3, 4)]),
-    (lambda a: ad.transpose(a, (2, 0, 1)), [(2, 3, 4)]),
     (lambda a: ad.broadcast_to(a, (2, 3, 4)), [(3, 1)]),
     (lambda a, b: ad.concat([a, b], axis=1), [(2, 3), (2, 2)]),
     (lambda a: a[1], [(3, 4)]),
     (lambda a: a[:, 1:3], [(2, 5)]),
+    *FUSED,
 ]
 
 
@@ -85,11 +94,24 @@ def test_unrecorded_node_gradient_is_an_error():
 
 
 def test_float32_graph_stays_float32():
-    x = Node(np.ones((2, 3), dtype=np.float32))
+    x = Node(np.ones((1, 2, 4), dtype=np.float32))
     y = ad.gelu(1.0 - x * 0.5) + 2.0
     assert y.value.dtype == np.float32
-    z = ad.softmax(y) * (1.0 / 3.0)
+    z = layer_norm(y, layer_norm_params(4, np.float32)) * (1.0 / 3.0)
     assert z.value.dtype == np.float32
+    context, weights = attention_core(z, z, z, heads=2)
+    assert context.value.dtype == weights.dtype == np.float32
+
+
+@pytest.mark.parametrize("build,shapes", FUSED)
+def test_fused_node_gradients_stay_float32(build, shapes):
+    rng = np.random.default_rng(7)
+    nodes = [Node(rng.standard_normal(s).astype(np.float32)) for s in shapes]
+    out = build(*nodes)
+    assert out.value.dtype == np.float32
+    grads = ad.backward(ad.reduce_sum(out * out))
+    for node in nodes:
+        assert ad.grad_of(grads, node).dtype == np.float32
 
 
 def test_gradients_accumulate_across_reuse():

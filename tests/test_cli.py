@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spa_compressor.cli import main
-from spa_compressor.goldenio import read_tensor
+from spa_compressor.goldenio import read_tensor, write_tensor
 from spa_compressor.manifest import write_video
 from spa_compressor.synthetic import SyntheticVideoSpec, generate
 
@@ -173,6 +173,54 @@ class TestGenerateAndRun:
         ini_only = run("ini.spat", "run", "--config", str(ini)).read_bytes()
         flags_only = run("seed.spat", "--seed", "3", "run", "--d", "8", "--l-v", "2").read_bytes()
         assert ini_only == flags_only
+
+
+def set_field(manifest, kind, index, field, value):
+    """Replace one whitespace-separated field of the ``kind`` record ``index``."""
+    lines = manifest.read_text().splitlines()
+    for i, line in enumerate(lines):
+        fields = line.split()
+        if fields[:2] == [kind, str(index)]:
+            fields[field] = value
+            lines[i] = " ".join(fields)
+    manifest.write_text("\n".join(lines) + "\n")
+
+
+def poison_tensor(path, value):
+    tensor = read_tensor(path).copy()
+    tensor.flat[1] = value
+    write_tensor(path, tensor)
+
+
+# a generated manifest has a comment on line 1, frames 0-2 on lines 2-4 and
+# sentences 1-2 on lines 5-6
+@pytest.mark.parametrize(
+    "corrupt, fragments",
+    [
+        (lambda m: set_field(m, "frame", 1, 2, "nan"), ["video.manifest: frame 1: time must be finite"]),
+        (lambda m: set_field(m, "frame", 2, 2, "inf"), ["video.manifest: frame 2: time must be finite"]),
+        (lambda m: set_field(m, "frame", 2, 2, "1e6"),
+         ["video.manifest: frame 2: time must be finite and in [0, 1000000) seconds, got 1000000.0"]),
+        (lambda m: set_field(m, "sentence", 1, 2, "nan"), ["video.manifest: sentence 1: start must be finite"]),
+        (lambda m: m.write_bytes(m.read_bytes() + b"frame 3 3.0 \xff.spat\n"), ["video.manifest: not UTF-8 text"]),
+        (lambda m: poison_tensor(m.parent / "frame_00001.spat", np.nan),
+         ["video.manifest:3: malformed record: non-finite value in ", "frame_00001.spat at index (0, 1)"]),
+        (lambda m: poison_tensor(m.parent / "sentence_00001.spat", np.inf),
+         ["video.manifest:5: malformed record: non-finite value in ", "sentence_00001.spat at index (0, 1)"]),
+    ],
+    ids=["frame-time-nan", "frame-time-inf", "frame-time-1e6", "sentence-start-nan", "not-utf8",
+         "frame-tensor-nan", "sentence-tensor-inf"],
+)
+def test_malformed_video_is_one_error_line(tmp_path, capsys, corrupt, fragments):
+    frames, sentences = generate(SyntheticVideoSpec(3, 2, 2, 8, seed=4))
+    manifest = write_video(tmp_path / "video", frames, sentences)
+    corrupt(manifest)
+    assert run_cli("run", "--d", "8", "--l-v", "2", "--manifest", str(manifest),
+                   "--out", str(tmp_path / "o.spat")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {manifest}")
+    assert all(fragment in err for fragment in fragments)
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from oracles import naive_encode_timestamp
+
 from spa_compressor import autodiff as ad
 from spa_compressor.time_encoder import (
     encode_timestamp,
@@ -44,6 +46,13 @@ def test_output_shape_and_finiteness():
     out = encode_timestamp(99999.9, p)
     assert out.shape == (10,)
     assert np.isfinite(out.value).all()
+
+
+@pytest.mark.parametrize("t", [0.0, 3.0, 47.3, 71.25, 99999.9])
+def test_matches_scalar_loop_oracle(t):
+    p = time_encoder_params(6, np.random.default_rng(23))
+    expected = naive_encode_timestamp(t, *(node.value for _, node in p.parameters()))
+    np.testing.assert_allclose(encode_timestamp(t, p).value, expected, rtol=0, atol=1e-12)
 
 
 def test_gradients_match_finite_differences():
