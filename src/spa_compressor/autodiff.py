@@ -250,28 +250,24 @@ def div(a, b) -> Node:
 
 
 def matmul(a, b) -> Node:
+    """``a @ b`` for ``a`` of rank >= 2 and a 2-D ``b`` (the weights).
+
+    The VJPs fold the leading axes of ``a`` into the rows of one 2-D GEMM
+    per gradient.
+    """
     a, b = as_node(a), as_node(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ValueError("matmul expects operands of rank >= 2")
-    if a.ndim > 2 and b.ndim == 2:
-        # a shared 2-D operand (weights): fold the leading axes into the rows
-        # of one 2-D GEMM per gradient, instead of a batched product that the
-        # (K, N) gradient then sums over
-        k, n = b.shape
-        return Node(
-            a.value @ b.value,
-            (a, b),
-            (
-                lambda g: (g.reshape(-1, n) @ b.value.T).reshape(a.value.shape),
-                lambda g: a.value.reshape(-1, k).T @ g.reshape(-1, n),
-            ),
+    if a.ndim < 2 or b.ndim != 2:
+        raise ValueError(
+            f"matmul expects a left operand of rank >= 2 and a 2-D right operand, "
+            f"got {a.shape} @ {b.shape}"
         )
+    k, n = b.shape
     return Node(
         a.value @ b.value,
         (a, b),
         (
-            lambda g: unbroadcast(g @ b.value.swapaxes(-1, -2), a.value.shape),
-            lambda g: unbroadcast(a.value.swapaxes(-1, -2) @ g, b.value.shape),
+            lambda g: (g.reshape(-1, n) @ b.value.T).reshape(a.value.shape),
+            lambda g: a.value.reshape(-1, k).T @ g.reshape(-1, n),
         ),
     )
 

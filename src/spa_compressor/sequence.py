@@ -57,10 +57,10 @@ class InterleavedSequence:
         return sum(e.length for e in self.elements)
 
 
-def _check_time(t: float, what: str) -> None:
+def _check_time(t: float, what: str, limit: float = math.inf) -> None:
     # NaN fails every comparison, so test for the range, not against it
-    if not (math.isfinite(t) and 0 <= t < MAX_TIME_SECONDS):
-        raise ValueError(f"{what} must be finite and in [0, {MAX_TIME_SECONDS:.0f}) seconds, got {t}")
+    if not (math.isfinite(t) and 0 <= t < limit):
+        raise ValueError(f"{what} must be finite and in [0, {limit:.0f}) seconds, got {t}")
 
 
 def validate_frames(frames: list[Frame]) -> None:
@@ -72,7 +72,8 @@ def validate_frames(frames: list[Frame]) -> None:
                 f"frame {f.index} at position {i}: frame indices must be 0, 1, 2, ... "
                 "with no gaps or repeats"
             )
-        _check_time(f.time_seconds, f"frame {f.index}: time")
+        # frame times are what the timestamp encoder renders
+        _check_time(f.time_seconds, f"frame {f.index}: time", MAX_TIME_SECONDS)
     widths = {f.vision_tokens.shape for f in frames}
     if len(widths) != 1:
         raise ValueError(f"frames disagree on vision token shape: {sorted(widths)}")

@@ -39,6 +39,7 @@ GRU_WEIGHTS = [(4, 4), (4, 4), (4,)] * 3  # W, U, b of the update, reset and can
 FUSED = [
     (lambda x, s, b: layer_norm(x, LayerNormParams(s, b)), [(2, 3, 4), (4,), (4,)]),
     (lambda q, k, v: attention_core(q, k, v, heads=2)[0], [(2, 3, 4), (2, 5, 4), (2, 5, 4)]),
+    (lambda q, k, v: attention_core(q, k, v, heads=3)[0], [(1, 4, 6), (1, 2, 6), (1, 2, 6)]),  # Lq > Lk
     (lambda x, h, *w: gru_step(x, h, TimeEncoderParams(4, None, *w)), [(1, 4), (1, 4)] + GRU_WEIGHTS),
     (lambda x, h, *w: gru_step(x, h, TimeEncoderParams(4, None, *w)), [(2, 4), (2, 4)] + GRU_WEIGHTS),
 ]
@@ -52,7 +53,6 @@ OPS = [
     (lambda a, b: a @ b, [(3, 4), (4, 5)]),
     (lambda a, b: a @ b, [(2, 3, 4), (4, 5)]),  # batched vs shared
     (lambda a, b: a @ b, [(2, 2, 3, 4), (4, 5)]),  # two batch axes vs shared
-    (lambda a, b: a @ b, [(3, 4), (2, 4, 5)]),  # shared vs batched
     (lambda a: ad.gelu(a), [(4, 3)]),
     (lambda a: ad.reduce_sum(a, axis=1, keepdims=True) * a, [(3, 4)]),
     (lambda a: ad.reduce_mean(a, axis=-1, keepdims=True) - a, [(2, 5)]),
@@ -112,6 +112,13 @@ def test_fused_node_gradients_stay_float32(build, shapes):
     grads = ad.backward(ad.reduce_sum(out * out))
     for node in nodes:
         assert ad.grad_of(grads, node).dtype == np.float32
+
+
+def test_matmul_needs_a_2d_right_operand():
+    with pytest.raises(ValueError, match=r"\(3, 4\) @ \(2, 4, 5\)"):
+        Node(np.ones((3, 4))) @ Node(np.ones((2, 4, 5)))
+    with pytest.raises(ValueError, match="rank >= 2"):
+        Node(np.ones(4)) @ Node(np.ones((4, 5)))
 
 
 def test_gradients_accumulate_across_reuse():

@@ -14,6 +14,7 @@ from spa_compressor.sequence import (
     Frame,
     align_sentences,
     build_sequence,
+    validate_sentences,
 )
 
 
@@ -40,6 +41,18 @@ class TestAlign:
     def test_sentence_before_first_frame_anchors_to_frame_zero(self):
         frames, sentences = make_video([5.0, 6.0], [(0.0, 1.0)])
         assert align_sentences(frames, sentences) == {1: 0}
+
+    def test_sentence_bounds_need_not_fit_the_timestamp_encoder(self):
+        # only frame times are rendered; sentence bounds are alignment anchors
+        frames, sentences = make_video([0, 1], [(1.5e6, 2e6)])
+        validate_sentences(sentences)
+        assert align_sentences(frames, sentences) == {1: 1}
+
+    @pytest.mark.parametrize("start,end", [(-1.0, 1.0), (0.0, float("inf"))])
+    def test_sentence_bounds_must_be_finite_and_non_negative(self, start, end):
+        _, sentences = make_video([0], [(start, end)])
+        with pytest.raises(ValueError, match=r"sentence 1: (start|end) must be finite and in \[0, inf\)"):
+            validate_sentences(sentences)
 
     def test_empty_frame_list_is_an_error(self):
         _, sentences = make_video([0], [(0, 1)])
