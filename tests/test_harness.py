@@ -17,6 +17,7 @@ from spa_compressor.synthetic import SyntheticVideoSpec, generate
 from conftest import TOY_CONFIG, TOY_VIDEO
 
 GOLDEN_MANIFEST = Path(__file__).resolve().parent.parent / "golden_manifest.ini"
+GOLDEN_DIR = Path(__file__).resolve().parent / "goldens"
 
 TINY_CONFIG = dict(
     dim=4, heads=2, scene_tokens=1, event_tokens=1,
@@ -182,6 +183,14 @@ class TestGolden:
     def test_manifest_loads_shipped_cases(self):
         cases = load_manifest(GOLDEN_MANIFEST)
         assert {c.name for c in cases} >= {"toy_f64", "toy_f32", "wide_f64"}
+
+    def test_committed_goldens_pass(self):
+        # snapshots emitted once and stored: a numeric change anywhere in the
+        # forward beyond 1e-10 (f64) or 1e-5 (f32) fails here
+        cases = load_manifest(GOLDEN_MANIFEST)
+        results = verify(cases, GOLDEN_DIR)
+        assert [r.name for r in results] == [c.name for c in cases]
+        assert all(r.ok for r in results), [r.detail for r in results if not r.ok]
 
     def test_verify_after_emit_passes(self, tmp_path):
         cases = load_manifest(GOLDEN_MANIFEST)
