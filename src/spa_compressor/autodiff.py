@@ -19,10 +19,14 @@ Inside :func:`no_grad` the ops compute the same values but record no
 graph: every node they create is a leaf, so intermediate values are freed
 as soon as nothing refers to them.  Fused nodes check :func:`recording` and
 build no VJP closures there.
+
+:func:`named_parameters` names the parameter nodes of a params dataclass
+after its fields.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from contextlib import contextmanager
 from itertools import accumulate
 
@@ -39,8 +43,6 @@ __all__ = [
     "add",
     "sub",
     "mul",
-    "div",
-    "neg",
     "matmul",
     "gelu",
     "reduce_sum",
@@ -51,6 +53,7 @@ __all__ = [
     "getitem",
     "backward",
     "grad_of",
+    "named_parameters",
 ]
 
 
@@ -125,15 +128,6 @@ class Node:
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -219,11 +213,6 @@ def sub(a, b) -> Node:
     )
 
 
-def neg(a) -> Node:
-    a = as_node(a)
-    return Node(-a.value, (a,), (lambda g: -g,))
-
-
 def mul(a, b) -> Node:
     a, b = _coerce_pair(a, b)
     return Node(
@@ -232,19 +221,6 @@ def mul(a, b) -> Node:
         (
             lambda g: unbroadcast(g * b.value, a.value.shape),
             lambda g: unbroadcast(g * a.value, b.value.shape),
-        ),
-    )
-
-
-def div(a, b) -> Node:
-    a, b = _coerce_pair(a, b)
-    out = a.value / b.value
-    return Node(
-        out,
-        (a, b),
-        (
-            lambda g: unbroadcast(g / b.value, a.value.shape),
-            lambda g: unbroadcast(-g * out / b.value, b.value.shape),
         ),
     )
 
@@ -402,3 +378,25 @@ def grad_of(grads: dict, node: Node) -> np.ndarray:
             "it was not part of the differentiated graph"
         )
     return g
+
+
+def named_parameters(params) -> list[tuple[str, Node]]:
+    """The ``(dotted name, node)`` pairs of a params dataclass, in field
+    declaration order: a ``Node`` field is named after the field, a nested
+    dataclass field contributes its own pairs under ``field.``, and the i-th
+    item of a list field is named ``layer{i}``.  Other fields (head counts,
+    widths, an absent ``None`` block) hold no parameters and are skipped.
+    """
+    named = []
+    for field in dataclasses.fields(params):
+        value = getattr(params, field.name)
+        if isinstance(value, list):
+            items = [(f"layer{i}", item) for i, item in enumerate(value)]
+        else:
+            items = [(field.name, value)]
+        for name, item in items:
+            if isinstance(item, Node):
+                named.append((name, item))
+            elif dataclasses.is_dataclass(item):
+                named += [(f"{name}.{n}", node) for n, node in named_parameters(item)]
+    return named

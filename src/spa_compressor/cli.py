@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
 from . import analytics, golden
+from . import autodiff as ad
 from .compressor import INI_KEYS, MODES, CompressorConfig, SpaCompressor
 from .fitting import FitConfig, fit
 from .goldenio import write_tensor
@@ -85,7 +87,8 @@ def cmd_run(args) -> int:
     config = _model_config(args)
     frames, sentences = read_video(args.manifest)
     model = SpaCompressor(config)
-    result = model.forward(frames, sentences)
+    with ad.no_grad():
+        result = model.forward(frames, sentences)
     write_tensor(args.out, result.flattened.value)
 
     cfg = model.config
@@ -128,9 +131,10 @@ def cmd_generate(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    if args.tolerance <= 0:
-        print("tolerance must be positive", file=sys.stderr)
-        return 2
+    for flag, value in (("--step", args.step), ("--tolerance", args.tolerance)):
+        if not (math.isfinite(value) and value > 0):
+            print(f"error: {flag} must be finite and positive, got {value}", file=sys.stderr)
+            return 2
     config = _model_config(args)
     frames, sentences = generate(_video_spec(args, config))
     model = SpaCompressor(config)
@@ -221,7 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--video-seed", type=int)
     p.add_argument("--step", type=float, default=DEFAULT_STEP)
     p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
-    p.add_argument("--freeze", action="append", default=[], help="parameter group to freeze")
+    p.add_argument("--freeze", action="append", default=[], choices=tuple(SpaCompressor.DOWNSTREAM),
+                   help="parameter group to freeze")
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("fit", help="toy compressor-only training loop")

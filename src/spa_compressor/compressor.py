@@ -185,8 +185,8 @@ class EventLayerParams:
 class EventParams:
     queries: Node  # (E, D), one parameter bank replicated for every frame
     ln_init: LayerNormParams
-    layers: list[EventLayerParams]
     ln_vision: LayerNormParams | None  # frame-conditioned mode only
+    layers: list[EventLayerParams]
 
 
 @dataclass
@@ -276,42 +276,13 @@ class SpaCompressor:
     # ----- parameter bookkeeping -------------------------------------
 
     def parameter_groups(self) -> dict[str, list[tuple[str, Node]]]:
-        def ln(prefix, p):
-            return [(f"{prefix}.{n}", v) for n, v in p.parameters()]
-
-        fusion = (
-            ln("ln_asr", self.fusion.ln_asr)
-            + ln("ln_vision", self.fusion.ln_vision)
-            + ln("attn", self.fusion.attn)
-            + ln("ln_ffn", self.fusion.ln_ffn)
-            + ln("ffn", self.fusion.ffn)
-        )
-        scene = [("queries", self.scene.queries)] + ln("ln_init", self.scene.ln_init)
-        for i, layer in enumerate(self.scene.layers):
-            scene += (
-                ln(f"layer{i}.ln_attn", layer.ln_attn)
-                + ln(f"layer{i}.attn", layer.attn)
-                + ln(f"layer{i}.ln_ffn", layer.ln_ffn)
-                + ln(f"layer{i}.ffn", layer.ffn)
-            )
-        event = [("queries", self.events.queries)] + ln("ln_init", self.events.ln_init)
-        if self.events.ln_vision is not None:
-            event += ln("ln_vision", self.events.ln_vision)
-        for i, layer in enumerate(self.events.layers):
-            event += (
-                ln(f"layer{i}.ln_self", layer.ln_self)
-                + ln(f"layer{i}.self_attn", layer.self_attn)
-                + ln(f"layer{i}.ln_cross", layer.ln_cross)
-                + ln(f"layer{i}.cross_attn", layer.cross_attn)
-                + ln(f"layer{i}.ln_ffn", layer.ln_ffn)
-                + ln(f"layer{i}.ffn", layer.ffn)
-            )
-        time_enc = [(n, v) for n, v in self.time_encoder.parameters()]
+        """Each group's ``(name, node)`` pairs, named by
+        :func:`autodiff.named_parameters` after the params dataclass fields."""
         return {
-            "fusion": fusion,
-            "scene": scene,
-            "event": event,
-            "time_encoder": time_enc,
+            "fusion": ad.named_parameters(self.fusion),
+            "scene": ad.named_parameters(self.scene),
+            "event": ad.named_parameters(self.events),
+            "time_encoder": ad.named_parameters(self.time_encoder),
         }
 
     # the stages whose outputs depend on each parameter group; only these
@@ -322,6 +293,15 @@ class SpaCompressor:
         "event": ("events",),
         "time_encoder": ("times",),
     }
+
+    @classmethod
+    def check_groups(cls, groups) -> None:
+        """Reject a name in ``groups`` that is not a parameter group."""
+        for group in groups:
+            if group not in cls.DOWNSTREAM:
+                raise ValueError(
+                    f"unknown parameter group {group!r}; expected one of {', '.join(cls.DOWNSTREAM)}"
+                )
 
     def parameters(self) -> list[tuple[str, Node]]:
         return [

@@ -33,7 +33,8 @@ class FitConfig:
 
 
 def make_teacher_target(model: SpaCompressor, frames, sentences, seed: int) -> np.ndarray:
-    shape = model.forward(frames, sentences).flattened.shape
+    with ad.no_grad():
+        shape = model.forward(frames, sentences).flattened.shape
     rng = np.random.default_rng(seed)
     return rng.standard_normal(shape).astype(model.config.dtype)
 
@@ -47,7 +48,9 @@ def fit(
     freeze: tuple[str, ...] = (),
 ) -> list[float]:
     """Run gradient descent; returns the loss at every step plus the
-    final post-update loss (length steps + 1)."""
+    final post-update loss (length steps + 1).  An unknown group in
+    ``freeze`` is a ``ValueError``."""
+    model.check_groups(freeze)
     if target is None:
         target = make_teacher_target(model, frames, sentences, config.seed)
     target_node = Node(np.asarray(target, dtype=model.config.dtype))

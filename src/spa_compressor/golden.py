@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import autodiff as ad
 from .compressor import CompressorConfig, SpaCompressor, ini_value, read_ini
 from .goldenio import first_divergence, read_tensor, write_tensor
 from .synthetic import SyntheticVideoSpec, generate
@@ -52,8 +53,8 @@ def load_manifest(path) -> list[GoldenCase]:
 
 def compute_case(case: GoldenCase) -> np.ndarray:
     frames, sentences = generate(case.video)
-    model = SpaCompressor(case.config)
-    return model.forward(frames, sentences).flattened.value
+    with ad.no_grad():
+        return SpaCompressor(case.config).forward(frames, sentences).flattened.value
 
 
 def emit(cases: list[GoldenCase], directory) -> list[Path]:

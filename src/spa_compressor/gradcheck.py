@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,8 +58,13 @@ def finite_difference_check(
     Each finite-difference loss reruns, value-only, only the stages
     downstream of the perturbed group and reuses the others' outputs, so it
     is the same float computation as a full forward.  Float64 models only:
-    at the default step, float32 round-off swamps the difference.
+    at the default step, float32 round-off swamps the difference.  A step
+    that is not finite and positive, or an unknown group in ``freeze``, is a
+    ``ValueError``.
     """
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"finite-difference step must be finite and positive, got {step}")
+    model.check_groups(freeze)
     if model.config.precision != "f64":
         raise ValueError(
             f"finite-difference gradcheck needs precision f64, got {model.config.precision}"

@@ -40,9 +40,6 @@ class LayerNormParams:
     scale: Node  # (D,), initialized to ones
     shift: Node  # (D,), initialized to zeros
 
-    def parameters(self):
-        return [("scale", self.scale), ("shift", self.shift)]
-
 
 def layer_norm_params(dim: int, dtype=np.float64) -> LayerNormParams:
     return LayerNormParams(
@@ -96,12 +93,6 @@ class AttentionParams:
     bk: Node
     bv: Node
     bo: Node
-
-    def parameters(self):
-        return [
-            ("wq", self.wq), ("wk", self.wk), ("wv", self.wv), ("wo", self.wo),
-            ("bq", self.bq), ("bk", self.bk), ("bv", self.bv), ("bo", self.bo),
-        ]
 
 
 def attention_params(dim: int, heads: int, rng: np.random.Generator, dtype=np.float64) -> AttentionParams:
@@ -159,16 +150,15 @@ def shared_prefix_kv(shared: Node, rows: Node, p: AttentionParams) -> tuple[Node
     return join(k_shared, k_rows), join(v_shared, v_rows)
 
 
-def attention_core(q: Node, k: Node, v: Node, heads: int) -> tuple[Node, np.ndarray]:
+def attention_core(q: Node, k: Node, v: Node, heads: int) -> Node:
     """softmax(q k^T) v per head for (batch, L, D) queries ``q``, already
     scaled, and projected keys ``k`` and values ``v``: head split, scores,
     softmax over the key axis, weighted sum and head merge as one node over
     ``(q, k, v)``.
 
-    Returns the (batch, Lq, D) node and the (batch*heads, Lq, Lkv) weights.
-    The node keeps only what its VJP reads, the head-split q/k/v and the
-    weights; the VJP computes the softmax gradient once for all three
-    parents.
+    Returns the (batch, Lq, D) node.  It keeps only what its VJP reads, the
+    head-split q/k/v and the (batch*heads, Lq, Lkv) softmax weights; the VJP
+    computes the softmax gradient once for all three parents.
     """
     batch, l_q, dim = q.shape
     l_kv = k.shape[1]
@@ -190,7 +180,7 @@ def attention_core(q: Node, k: Node, v: Node, heads: int) -> tuple[Node, np.ndar
     weights /= weights.sum(axis=-1, keepdims=True)
     out = merge(weights @ vh, l_q)
     if not ad.recording():
-        return Node(out), weights
+        return Node(out)
 
     def grads(g):
         gh = split(g, l_q)
@@ -202,18 +192,16 @@ def attention_core(q: Node, k: Node, v: Node, heads: int) -> tuple[Node, np.ndar
             merge(weights.transpose(0, 2, 1) @ gh, l_kv),
         )
 
-    return Node(out, (q, k, v), ad.shared_vjps(grads, 3)), weights
+    return Node(out, (q, k, v), ad.shared_vjps(grads, 3))
 
 
-def attend(q: Node, k: Node, v: Node, p: AttentionParams, return_weights: bool = False):
+def attend(q: Node, k: Node, v: Node, p: AttentionParams) -> Node:
     """Multi-head scaled-dot-product attention of queries ``q`` into
     projected keys ``k`` and values ``v``, each (batch, Lkv, D).
 
     Softmax runs over the key axis with scale 1/sqrt(head_dim), applied to
     the projected queries; no mask.  The q and output projections are
-    ``matmul``/``add`` nodes around :func:`attention_core`.  With
-    ``return_weights`` also returns the core's (batch*heads, Lq, Lkv)
-    weights as a constant node.
+    ``matmul``/``add`` nodes around :func:`attention_core`.
     """
     _check_context(q, k)
     if v.shape != k.shape:
@@ -221,28 +209,20 @@ def attend(q: Node, k: Node, v: Node, p: AttentionParams, return_weights: bool =
     check_finite(q.value, "attention query input")
 
     scale = 1.0 / np.sqrt(q.shape[2] // p.heads)
-    context, weights = attention_core(_project(q, p.wq, p.bq) * scale, k, v, p.heads)
-    out = _project(context, p.wo, p.bo)
-    if return_weights:
-        return out, Node(weights)
-    return out
+    context = attention_core(_project(q, p.wq, p.bq) * scale, k, v, p.heads)
+    return _project(context, p.wo, p.bo)
 
 
-def cross_attention(
-    q: Node,
-    kv: Node,
-    p: AttentionParams,
-    return_weights: bool = False,
-):
+def cross_attention(q: Node, kv: Node, p: AttentionParams) -> Node:
     """Multi-head scaled-dot-product attention of queries ``q`` into ``kv``:
     :func:`project_kv` followed by :func:`attend`."""
     _check_context(q, kv)
     k, v = project_kv(kv, p)
-    return attend(q, k, v, p, return_weights=return_weights)
+    return attend(q, k, v, p)
 
 
-def self_attention(x: Node, p: AttentionParams, return_weights: bool = False):
-    return cross_attention(x, x, p, return_weights=return_weights)
+def self_attention(x: Node, p: AttentionParams) -> Node:
+    return cross_attention(x, x, p)
 
 
 @dataclass
@@ -251,9 +231,6 @@ class FfnParams:
     b1: Node
     w2: Node
     b2: Node
-
-    def parameters(self):
-        return [("w1", self.w1), ("b1", self.b1), ("w2", self.w2), ("b2", self.b2)]
 
 
 def ffn_params(dim: int, rng: np.random.Generator, dtype=np.float64) -> FfnParams:

@@ -41,20 +41,6 @@ class TimeEncoderParams:
     u_cand: Node
     b_cand: Node
 
-    def parameters(self):
-        return [
-            ("embed", self.embed),
-            ("w_update", self.w_update),
-            ("u_update", self.u_update),
-            ("b_update", self.b_update),
-            ("w_reset", self.w_reset),
-            ("u_reset", self.u_reset),
-            ("b_reset", self.b_reset),
-            ("w_cand", self.w_cand),
-            ("u_cand", self.u_cand),
-            ("b_cand", self.b_cand),
-        ]
-
 
 def time_encoder_params(dim: int, rng: np.random.Generator, dtype=np.float64) -> TimeEncoderParams:
     bound = 1.0 / math.sqrt(dim)

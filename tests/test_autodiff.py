@@ -38,8 +38,8 @@ GRU_WEIGHTS = [(4, 4), (4, 4), (4,)] * 3  # W, U, b of the update, reset and can
 # the fused nodes: one node each over all their inputs, closed-form VJPs
 FUSED = [
     (lambda x, s, b: layer_norm(x, LayerNormParams(s, b)), [(2, 3, 4), (4,), (4,)]),
-    (lambda q, k, v: attention_core(q, k, v, heads=2)[0], [(2, 3, 4), (2, 5, 4), (2, 5, 4)]),
-    (lambda q, k, v: attention_core(q, k, v, heads=3)[0], [(1, 4, 6), (1, 2, 6), (1, 2, 6)]),  # Lq > Lk
+    (lambda q, k, v: attention_core(q, k, v, heads=2), [(2, 3, 4), (2, 5, 4), (2, 5, 4)]),
+    (lambda q, k, v: attention_core(q, k, v, heads=3), [(1, 4, 6), (1, 2, 6), (1, 2, 6)]),  # Lq > Lk
     (lambda x, h, *w: gru_step(x, h, TimeEncoderParams(4, None, *w)), [(1, 4), (1, 4)] + GRU_WEIGHTS),
     (lambda x, h, *w: gru_step(x, h, TimeEncoderParams(4, None, *w)), [(2, 4), (2, 4)] + GRU_WEIGHTS),
 ]
@@ -49,7 +49,6 @@ OPS = [
     (lambda a, b: a + b, [(3, 4), (4,)]),  # broadcast
     (lambda a, b: a - b, [(2, 3), (2, 3)]),
     (lambda a, b: a * b, [(3, 4), (1, 4)]),
-    (lambda a, b: a / b, [(2, 3), (2, 3)]),
     (lambda a, b: a @ b, [(3, 4), (4, 5)]),
     (lambda a, b: a @ b, [(2, 3, 4), (4, 5)]),  # batched vs shared
     (lambda a, b: a @ b, [(2, 2, 3, 4), (4, 5)]),  # two batch axes vs shared
@@ -99,8 +98,7 @@ def test_float32_graph_stays_float32():
     assert y.value.dtype == np.float32
     z = layer_norm(y, layer_norm_params(4, np.float32)) * (1.0 / 3.0)
     assert z.value.dtype == np.float32
-    context, weights = attention_core(z, z, z, heads=2)
-    assert context.value.dtype == weights.dtype == np.float32
+    assert attention_core(z, z, z, heads=2).value.dtype == np.float32
 
 
 @pytest.mark.parametrize("build,shapes", FUSED)

@@ -3,9 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from spa_compressor.cli import main
+from spa_compressor.cli import TOY, main
+from spa_compressor.compressor import MODES, CompressorConfig, SpaCompressor
 from spa_compressor.goldenio import read_tensor, write_tensor
-from spa_compressor.manifest import write_video
+from spa_compressor.manifest import read_video, write_video
 from spa_compressor.synthetic import SyntheticVideoSpec, generate
 
 from test_harness import GOLDEN_MANIFEST
@@ -96,6 +97,19 @@ class TestGenerateAndRun:
                        "--manifest", str(video_dir / "video.manifest"),
                        "--out", str(out_file)) == 0
         assert read_tensor(out_file).shape == (1, 2 + 2 * 3, 8)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_value_only_run_equals_a_recorded_forward(self, tmp_path, mode):
+        video_dir = tmp_path / "video"
+        run_cli("generate", "--out", str(video_dir), "--frames", "3", "--d", "8")
+        manifest = video_dir / "video.manifest"
+        out_file = tmp_path / "out.spat"
+        assert run_cli("--seed", "3", "run", "--d", "8", "--l-v", "2", "--mode", mode,
+                       "--manifest", str(manifest), "--out", str(out_file)) == 0
+        config = CompressorConfig(**{**TOY, "mode": mode, "seed": 3})
+        recorded = SpaCompressor(config).forward(*read_video(manifest)).flattened
+        assert recorded.parents
+        assert read_tensor(out_file).tobytes() == recorded.value.tobytes()
 
     def test_truncated_frame_file_is_an_error_line(self, tmp_path, capsys):
         video_dir = tmp_path / "video"
@@ -274,6 +288,25 @@ class TestGradcheckCommand:
 
     def test_non_positive_tolerance_is_usage_error(self, capsys):
         assert run_cli("gradcheck", *TINY_FLAGS, "--tolerance", "0") == 2
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--step", "0"), ("--step", "-1e-5"), ("--step", "nan"), ("--step", "inf"),
+         ("--tolerance", "-1"), ("--tolerance", "nan"), ("--tolerance", "inf")],
+    )
+    def test_step_and_tolerance_must_be_finite_and_positive(self, capsys, flag, value):
+        assert run_cli("gradcheck", *TINY_FLAGS, f"{flag}={value}") == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {flag} must be finite and positive, got {float(value)}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("group", ["events", "Fusion", "time-encoder"])
+    def test_unknown_freeze_group_is_usage_error(self, capsys, group):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("gradcheck", *TINY_FLAGS, "--freeze", group)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --freeze: invalid choice" in err and repr(group) in err
 
 
 class TestFitCommand:

@@ -9,6 +9,7 @@ from spa_compressor.autodiff import Node
 from spa_compressor.compressor import (
     MODE_FRAME,
     MODE_GLOBAL,
+    MODES,
     CompressorConfig,
     SpaCompressor,
 )
@@ -323,6 +324,65 @@ class TestForward:
         model = SpaCompressor(toy_config(dim=8, vision_tokens_per_frame=2, precision="f32"))
         result = model.forward(frames, sentences)
         assert result.flattened.value.dtype == np.float32
+
+
+def resolve(params, dotted: str):
+    """The node a parameter name points at, read off the params dataclasses."""
+    for part in dotted.split("."):
+        if part.startswith("layer") and part[5:].isdigit():
+            params = params.layers[int(part[5:])]
+        else:
+            params = getattr(params, part)
+    return params
+
+
+class TestParameters:
+    OWNERS = {"fusion": "fusion", "scene": "scene", "event": "events", "time_encoder": "time_encoder"}
+
+    def test_frame_conditioned_event_group_order(self):
+        names = [n for n, _ in SpaCompressor(toy_config(event_layers=2)).parameter_groups()["event"]]
+        assert names[:6] == [
+            "queries", "ln_init.scale", "ln_init.shift",
+            "ln_vision.scale", "ln_vision.shift", "layer0.ln_self.scale",
+        ]
+        assert names[-1] == "layer1.ffn.b2"
+
+    @pytest.mark.parametrize("scene_layers, event_layers", [(1, 1), (3, 2)])
+    def test_global_mode_drops_exactly_the_frame_norm(self, scene_layers, event_layers):
+        def names(mode):
+            model = SpaCompressor(toy_config(scene_layers=scene_layers, event_layers=event_layers, mode=mode))
+            return [n for n, _ in model.parameters()]
+
+        frame, shared = names(MODE_FRAME), names(MODE_GLOBAL)
+        assert [n for n in frame if n not in shared] == ["event.ln_vision.scale", "event.ln_vision.shift"]
+        assert [n for n in frame if not n.startswith("event.ln_vision.")] == shared
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("scene_layers, event_layers", [(1, 1), (3, 2)])
+    def test_names_are_unique_and_point_at_the_model_nodes(self, mode, scene_layers, event_layers):
+        model = SpaCompressor(toy_config(scene_layers=scene_layers, event_layers=event_layers, mode=mode))
+        for group, named in model.parameter_groups().items():
+            owner = getattr(model, self.OWNERS[group])
+            for name, node in named:
+                assert resolve(owner, name) is node, f"{group}.{name}"
+        named = model.parameters()
+        assert len({n for n, _ in named}) == len({id(node) for _, node in named}) == len(named)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("d, s, e, l_s, l_e", [(4, 2, 2, 1, 1), (8, 3, 5, 2, 3)])
+    def test_scalar_count_matches_the_closed_form(self, mode, d, s, e, l_s, l_e):
+        model = SpaCompressor(toy_config(
+            dim=d, scene_tokens=s, event_tokens=e, scene_layers=l_s, event_layers=l_e, mode=mode,
+        ))
+        norm, attention, ffn = 2 * d, 4 * d * d + 4 * d, 8 * d * d + 5 * d
+        expected = {
+            "fusion": 3 * norm + attention + ffn,
+            "scene": s * d + norm + l_s * (2 * norm + attention + ffn),
+            "event": e * d + norm + (norm if mode == MODE_FRAME else 0) + l_e * (3 * norm + 2 * attention + ffn),
+            "time_encoder": 11 * d + 6 * d * d + 3 * d,
+        }
+        counts = {g: sum(node.value.size for _, node in named) for g, named in model.parameter_groups().items()}
+        assert counts == expected
 
 
 class TestConfig:

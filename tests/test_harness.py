@@ -95,6 +95,20 @@ class TestGradcheck:
         assert any(not r.passed(1e-4) for r in reports)
 
 
+    @pytest.mark.parametrize("step", [0.0, -1e-5, float("nan"), float("inf")])
+    def test_step_must_be_finite_and_positive(self, step):
+        frames, sentences = generate(SyntheticVideoSpec(**TINY_VIDEO))
+        model = SpaCompressor(CompressorConfig(**TINY_CONFIG))
+        with pytest.raises(ValueError, match="step must be finite and positive"):
+            finite_difference_check(model, frames, sentences, step=step)
+
+    @pytest.mark.parametrize("freeze", [("events",), ("fusion", "timestamps")])
+    def test_unknown_freeze_group_is_rejected(self, freeze):
+        frames, sentences = generate(SyntheticVideoSpec(**TINY_VIDEO))
+        model = SpaCompressor(CompressorConfig(**TINY_CONFIG))
+        with pytest.raises(ValueError, match=f"unknown parameter group {freeze[-1]!r}"):
+            finite_difference_check(model, frames, sentences, freeze=freeze)
+
     def test_float32_model_is_rejected(self):
         frames, sentences = generate(SyntheticVideoSpec(**TINY_VIDEO))
         model = SpaCompressor(CompressorConfig(**{**TINY_CONFIG, "precision": "f32"}))
@@ -170,6 +184,15 @@ class TestFit:
                 [n.value.tobytes() for _, n in SpaCompressor(CompressorConfig(**TINY_CONFIG)).parameter_groups()["fusion"]],
             )
         )
+
+    @pytest.mark.parametrize("freeze", [("events",), ("scene", "time-encoder")])
+    def test_unknown_freeze_group_is_rejected(self, freeze):
+        frames, sentences = generate(SyntheticVideoSpec(**TINY_VIDEO))
+        model = SpaCompressor(CompressorConfig(**TINY_CONFIG))
+        before = [node.value.copy() for _, node in model.parameters()]
+        with pytest.raises(ValueError, match=f"unknown parameter group {freeze[-1]!r}"):
+            fit(model, frames, sentences, FitConfig(steps=3), freeze=freeze)
+        assert all(np.array_equal(a, node.value) for a, (_, node) in zip(before, model.parameters()))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_reports_step_index(self):

@@ -51,7 +51,7 @@ def test_output_shape_and_finiteness():
 @pytest.mark.parametrize("t", [0.0, 3.0, 47.3, 71.25, 99999.9])
 def test_matches_scalar_loop_oracle(t):
     p = time_encoder_params(6, np.random.default_rng(23))
-    expected = naive_encode_timestamp(t, *(node.value for _, node in p.parameters()))
+    expected = naive_encode_timestamp(t, *(node.value for _, node in ad.named_parameters(p)))
     np.testing.assert_allclose(encode_timestamp(t, p).value, expected, rtol=0, atol=1e-12)
 
 
@@ -63,7 +63,7 @@ def test_gradients_match_finite_differences():
     def loss():
         return float(encode_timestamp(47.3, p).value.sum())
 
-    for name, node in p.parameters():
+    for name, node in ad.named_parameters(p):
         flat = node.value.reshape(-1)
         analytic = ad.grad_of(grads, node).reshape(-1)
         for k in range(flat.size):
