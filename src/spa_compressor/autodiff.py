@@ -7,13 +7,15 @@ which walks the graph in reverse topological order.  Everything is pure
 numpy, double precision by default, and bit-deterministic: the same inputs
 always produce the same graph and the same gradients.
 
-The ops here are the generic building blocks.  The hot kernels are fused
-nodes built outside this module: ``kernels.layer_norm``,
-``kernels.attention_core`` and ``time_encoder.gru_step``.  Each is one node
-over all its inputs with closed-form VJPs, and its forward runs the same
-numpy operations, in the same order, as the op-by-op graph it fuses, so its
-values are bit-identical to that graph.  A fused node shares one backward
-computation between the VJPs of its parents through :func:`shared_vjps`.
+The ops here are the generic building blocks; a node cannot be indexed.
+The hot kernels are fused nodes built outside this module:
+``kernels.layer_norm``, ``kernels.attention_core`` and
+``time_encoder.encode_timestamp`` (the whole character GRU of one
+timestamp).  Each is one node over all its inputs with closed-form VJPs, and
+its forward runs the same numpy operations, in the same order, as the
+op-by-op graph it fuses, so its values are bit-identical to that graph.  A
+fused node shares one backward computation between the VJPs of its parents
+through :func:`shared_vjps`.
 
 Inside :func:`no_grad` the ops compute the same values but record no
 graph: every node they create is a leaf, so intermediate values are freed
@@ -50,7 +52,6 @@ __all__ = [
     "reshape",
     "broadcast_to",
     "concat",
-    "getitem",
     "backward",
     "grad_of",
     "named_parameters",
@@ -131,9 +132,6 @@ class Node:
 
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def __getitem__(self, idx):
-        return getitem(self, idx)
 
 
 def as_node(x) -> Node:
@@ -314,18 +312,6 @@ def concat(nodes, axis: int = 0) -> Node:
         tuple(nodes),
         shared_vjps(lambda g: np.split(g, splits, axis=axis), len(nodes)),
     )
-
-
-def getitem(a, idx) -> Node:
-    a = as_node(a)
-    out = a.value[idx]
-
-    def vjp(g):
-        full = np.zeros_like(a.value)
-        np.add.at(full, idx, g)
-        return full
-
-    return Node(np.array(out, copy=True), (a,), (vjp,))
 
 
 def _topological_order(root: Node) -> list:

@@ -154,6 +154,12 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    if args.steps < 1:
+        print(f"error: --steps must be at least 1, got {args.steps}", file=sys.stderr)
+        return 2
+    if not (math.isfinite(args.lr) and args.lr >= 0):
+        print(f"error: --lr must be finite and non-negative, got {args.lr}", file=sys.stderr)
+        return 2
     config = _model_config(args)
     frames, sentences = generate(_video_spec(args, config))
     model = SpaCompressor(config)

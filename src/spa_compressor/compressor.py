@@ -77,9 +77,11 @@ def read_ini(path, what: str) -> configparser.ConfigParser:
     """Parse the INI file ``path``; a parse error is a ``ValueError`` naming it."""
     parser = configparser.ConfigParser()
     try:
-        read = parser.read(str(path))
+        read = parser.read(str(path), encoding="utf-8")
     except configparser.Error as exc:
         raise ValueError(f"{path}: {' '.join(str(exc).split())}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
     if not read:
         raise FileNotFoundError(f"{what} not found: {path}")
     return parser

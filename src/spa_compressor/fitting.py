@@ -28,8 +28,8 @@ class FitConfig:
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError("need at least one step")
-        if self.learning_rate < 0:
-            raise ValueError("learning rate cannot be negative")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError(f"learning rate must be finite and non-negative, got {self.learning_rate}")
 
 
 def make_teacher_target(model: SpaCompressor, frames, sentences, seed: int) -> np.ndarray:

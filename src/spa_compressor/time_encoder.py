@@ -6,9 +6,10 @@ embedding table, and a gated recurrent (GRU) cell consumes the characters
 left to right.  The final hidden state is the timestamp embedding.  This
 keeps arbitrarily large times representable without magnitude saturation.
 
-Each GRU step is one fused autodiff node (:func:`gru_step`) whose forward
-runs the same numpy operations, in the same order, as the op-by-op gate
-graph, so its values are bit-identical to that graph.
+The whole recurrence of one timestamp is one fused autodiff node
+(:func:`encode_timestamp`).  Its forward runs, character by character, the
+same numpy operations in the same order as the op-by-op gate graph, so its
+values are bit-identical to that graph; its VJP backpropagates through time.
 """
 
 from __future__ import annotations
@@ -63,56 +64,62 @@ def render_time(t: float) -> str:
     return f"{t:.1f}"
 
 
-def gru_step(x: Node, h: Node, p: TimeEncoderParams) -> Node:
-    """One GRU step from input ``x`` and state ``h``, each (batch, D):
+def encode_timestamp(t: float, p: TimeEncoderParams) -> Node:
+    """Embed a timestamp; returns the final (D,) GRU hidden state.
+
+    Each character's embedding row ``x`` updates the (1, D) state ``h``:
 
         z = sigmoid(x W_z + h U_z + b_z)        r = sigmoid(x W_r + h U_r + b_r)
         n = tanh(x W_n + (r * h) U_n + b_n)     h' = (1 - z) * n + z * h
 
-    One node over ``x``, ``h`` and the nine gate parameters (the embedding
-    table is not used); the VJP computes all eleven gradients at once.
+    One node over the embedding table and the nine gate parameters.  Its
+    VJP backpropagates through the steps, then forms each weight gradient
+    as one GEMM over the stacked steps.
     """
-    xv, hv = x.value, h.value
-    dtype = hv.dtype
-    w_z, u_z, w_r, u_r, w_n, u_n = (
-        m.value for m in (p.w_update, p.u_update, p.w_reset, p.u_reset, p.w_cand, p.u_cand)
-    )
-    z = expit(xv @ w_z + hv @ u_z + p.b_update.value).astype(dtype)
-    r = expit(xv @ w_r + hv @ u_r + p.b_reset.value).astype(dtype)
-    rh = r * hv
-    n = np.tanh(xv @ w_n + rh @ u_n + p.b_cand.value)
-    out = (np.asarray(1.0, dtype=dtype) - z) * n + z * hv
-    if not ad.recording():
-        return Node(out)
-
-    def grads(g):
-        d_n = g * (1.0 - z) * (1.0 - n * n)
-        d_rh = d_n @ u_n.T
-        d_z = g * (hv - n) * z * (1.0 - z)
-        d_r = d_rh * hv * r * (1.0 - r)
-        d_x = d_z @ w_z.T + d_r @ w_r.T + d_n @ w_n.T
-        d_h = g * z + d_rh * r + d_z @ u_z.T + d_r @ u_r.T
-        return (
-            d_x, d_h,
-            xv.T @ d_z, hv.T @ d_z, d_z.sum(axis=0),
-            xv.T @ d_r, hv.T @ d_r, d_r.sum(axis=0),
-            xv.T @ d_n, rh.T @ d_n, d_n.sum(axis=0),
-        )
-
-    parents = (
-        x, h,
+    rows = [DIGIT_ALPHABET.index(ch) for ch in render_time(t)]
+    gates = (
         p.w_update, p.u_update, p.b_update,
         p.w_reset, p.u_reset, p.b_reset,
         p.w_cand, p.u_cand, p.b_cand,
     )
+    w_z, u_z, b_z, w_r, u_r, b_r, w_n, u_n, b_n = (g.value for g in gates)
+    embed = p.embed.value
+    xs = embed[rows]
+    dtype = xs.dtype
+    h = np.zeros((1, p.dim), dtype=dtype)
+    steps = []
+    for k in range(len(rows)):
+        x = xs[k : k + 1]
+        z = expit(x @ w_z + h @ u_z + b_z).astype(dtype)
+        r = expit(x @ w_r + h @ u_r + b_r).astype(dtype)
+        rh = r * h
+        n = np.tanh(x @ w_n + rh @ u_n + b_n)
+        steps.append((h, z, r, rh, n))
+        h = (np.asarray(1.0, dtype=dtype) - z) * n + z * h
+    out = h.reshape(p.dim)
+    if not ad.recording():
+        return Node(out)
+
+    def grads(g):
+        d_h = g.reshape(1, -1)
+        d_z, d_r, d_n = (np.empty_like(xs) for _ in range(3))
+        for k in reversed(range(len(steps))):
+            h, z, r, _, n = steps[k]
+            d_n[k] = d_h * (1.0 - z) * (1.0 - n * n)
+            d_rh = d_n[k : k + 1] @ u_n.T
+            d_z[k] = d_h * (h - n) * z * (1.0 - z)
+            d_r[k] = d_rh * h * r * (1.0 - r)
+            d_h = d_h * z + d_rh * r + d_z[k : k + 1] @ u_z.T + d_r[k : k + 1] @ u_r.T
+        hs = np.concatenate([step[0] for step in steps])
+        rhs = np.concatenate([step[3] for step in steps])
+        d_embed = np.zeros_like(embed)
+        np.add.at(d_embed, rows, d_z @ w_z.T + d_r @ w_r.T + d_n @ w_n.T)
+        return (
+            d_embed,
+            xs.T @ d_z, hs.T @ d_z, d_z.sum(axis=0),
+            xs.T @ d_r, hs.T @ d_r, d_r.sum(axis=0),
+            xs.T @ d_n, rhs.T @ d_n, d_n.sum(axis=0),
+        )
+
+    parents = (p.embed,) + gates
     return Node(out, parents, ad.shared_vjps(grads, len(parents)))
-
-
-def encode_timestamp(t: float, p: TimeEncoderParams) -> Node:
-    """Embed a timestamp; returns the final (D,) GRU hidden state."""
-    text = render_time(t)
-    h = Node(np.zeros((1, p.dim), dtype=p.embed.value.dtype))
-    for ch in text:
-        i = DIGIT_ALPHABET.index(ch)
-        h = gru_step(p.embed[i : i + 1], h, p)
-    return ad.reshape(h, (p.dim,))

@@ -4,7 +4,7 @@ import pytest
 from spa_compressor import autodiff as ad
 from spa_compressor.autodiff import Node
 from spa_compressor.kernels import LayerNormParams, attention_core, layer_norm, layer_norm_params
-from spa_compressor.time_encoder import TimeEncoderParams, gru_step
+from spa_compressor.time_encoder import TimeEncoderParams, encode_timestamp
 
 
 def fd_grad(fn, x, step=1e-6):
@@ -40,8 +40,8 @@ FUSED = [
     (lambda x, s, b: layer_norm(x, LayerNormParams(s, b)), [(2, 3, 4), (4,), (4,)]),
     (lambda q, k, v: attention_core(q, k, v, heads=2), [(2, 3, 4), (2, 5, 4), (2, 5, 4)]),
     (lambda q, k, v: attention_core(q, k, v, heads=3), [(1, 4, 6), (1, 2, 6), (1, 2, 6)]),  # Lq > Lk
-    (lambda x, h, *w: gru_step(x, h, TimeEncoderParams(4, None, *w)), [(1, 4), (1, 4)] + GRU_WEIGHTS),
-    (lambda x, h, *w: gru_step(x, h, TimeEncoderParams(4, None, *w)), [(2, 4), (2, 4)] + GRU_WEIGHTS),
+    (lambda e, *w: encode_timestamp(47.3, TimeEncoderParams(4, e, *w)), [(11, 4)] + GRU_WEIGHTS),
+    (lambda e, *w: encode_timestamp(11.1, TimeEncoderParams(4, e, *w)), [(11, 4)] + GRU_WEIGHTS),  # "11.1": a repeated row
 ]
 
 OPS = [
@@ -58,8 +58,6 @@ OPS = [
     (lambda a: ad.reshape(a, (6, 2)), [(3, 4)]),
     (lambda a: ad.broadcast_to(a, (2, 3, 4)), [(3, 1)]),
     (lambda a, b: ad.concat([a, b], axis=1), [(2, 3), (2, 2)]),
-    (lambda a: a[1], [(3, 4)]),
-    (lambda a: a[:, 1:3], [(2, 5)]),
     *FUSED,
 ]
 
@@ -110,6 +108,11 @@ def test_fused_node_gradients_stay_float32(build, shapes):
     grads = ad.backward(ad.reduce_sum(out * out))
     for node in nodes:
         assert ad.grad_of(grads, node).dtype == np.float32
+
+
+def test_nodes_cannot_be_indexed():
+    with pytest.raises(TypeError):
+        Node(np.ones((3, 4)))[1]
 
 
 def test_matmul_needs_a_2d_right_operand():

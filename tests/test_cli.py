@@ -266,6 +266,21 @@ def test_malformed_ini_is_one_error_line(tmp_path, capsys, command, text, named)
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["run", "golden"])
+def test_non_utf8_ini_is_one_error_line(tmp_path, capsys, command):
+    path = tmp_path / "bad.ini"
+    path.write_bytes(COMPRESSOR_INI.replace("d = 8", "d = \xff8").encode("latin-1"))
+    argv = {
+        "run": ["run", "--config", str(path), "--manifest", str(tmp_path / "v.manifest"),
+                "--out", str(tmp_path / "o.spat")],
+        "golden": ["golden", "verify", "--manifest", str(path), "--dir", str(tmp_path)],
+    }[command]
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not UTF-8 text")
+    assert err.count("\n") == 1
+
+
 class TestGradcheckCommand:
     def test_passes_on_tiny_config(self, capsys):
         code = run_cli("--seed", "5", "gradcheck", *TINY_FLAGS, "--frames", "2", "--sentences", "1")
@@ -321,6 +336,23 @@ class TestFitCommand:
 
     def test_zero_learning_rate_fails_halving_bar(self, capsys):
         assert run_cli("fit", *TINY_FLAGS, "--steps", "3", "--lr", "0") == 1
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--lr", "nan"), "--lr must be finite and non-negative, got nan"),
+            (("--lr", "inf"), "--lr must be finite and non-negative, got inf"),
+            (("--lr=-0.1",), "--lr must be finite and non-negative, got -0.1"),
+            (("--steps", "0"), "--steps must be at least 1, got 0"),
+            (("--steps", "-3"), "--steps must be at least 1, got -3"),
+        ],
+        ids=["lr-nan", "lr-inf", "lr-negative", "steps-0", "steps-negative"],
+    )
+    def test_bad_steps_or_learning_rate_is_usage_error(self, capsys, flags, message):
+        assert run_cli("fit", *TINY_FLAGS, "--steps", "3", *flags) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
 
 
 class TestGoldenCommand:

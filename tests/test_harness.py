@@ -194,6 +194,16 @@ class TestFit:
             fit(model, frames, sentences, FitConfig(steps=3), freeze=freeze)
         assert all(np.array_equal(a, node.value) for a, (_, node) in zip(before, model.parameters()))
 
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), -float("inf"), -0.05])
+    def test_learning_rate_must_be_finite_and_non_negative(self, lr):
+        with pytest.raises(ValueError, match="learning rate must be finite and non-negative"):
+            FitConfig(steps=3, learning_rate=lr)
+
+    @pytest.mark.parametrize("steps", [0, -1])
+    def test_steps_must_be_at_least_one(self, steps):
+        with pytest.raises(ValueError, match="need at least one step"):
+            FitConfig(steps=steps)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_reports_step_index(self):
         frames, sentences = generate(SyntheticVideoSpec(**TINY_VIDEO))

@@ -161,7 +161,7 @@ class TestAttendSharedContext:
         q = Node(rng.standard_normal((1, 2, 4)))
         k, v = project_kv(Node(rng.standard_normal((1, 3, 4))), p)
         with pytest.raises(ValueError, match="mismatch"):
-            attend(q, k, v[:, :2], p)
+            attend(q, k, Node(v.value[:, :2]), p)
 
 
 class TestFfn:

@@ -55,13 +55,14 @@ def test_matches_scalar_loop_oracle(t):
     np.testing.assert_allclose(encode_timestamp(t, p).value, expected, rtol=0, atol=1e-12)
 
 
-def test_gradients_match_finite_differences():
+@pytest.mark.parametrize("t", [47.3, 11.1])
+def test_gradients_match_finite_differences(t):
     p = time_encoder_params(5, np.random.default_rng(11))
-    out = encode_timestamp(47.3, p)
+    out = encode_timestamp(t, p)
     grads = ad.backward(ad.reduce_sum(out))
 
     def loss():
-        return float(encode_timestamp(47.3, p).value.sum())
+        return float(encode_timestamp(t, p).value.sum())
 
     for name, node in ad.named_parameters(p):
         flat = node.value.reshape(-1)
