@@ -9,18 +9,21 @@ always produce the same graph and the same gradients.
 
 The ops here are the generic building blocks; a node cannot be indexed.
 The hot kernels are fused nodes built outside this module:
-``kernels.layer_norm``, ``kernels.attention_core`` and
-``time_encoder.encode_timestamp`` (the whole character GRU of one
-timestamp).  Each is one node over all its inputs with closed-form VJPs, and
-its forward runs the same numpy operations, in the same order, as the
-op-by-op graph it fuses, so its values are bit-identical to that graph.  A
-fused node shares one backward computation between the VJPs of its parents
-through :func:`shared_vjps`.
+``kernels.layer_norm``, ``kernels.attention_core``,
+``kernels.prefix_attention_core`` and ``time_encoder.encode_timestamp``
+(the whole character GRU of one timestamp).  Each is one node over all its
+inputs with closed-form VJPs.  The forwards of the first, second and fourth
+run the same numpy operations, in the same order, as the op-by-op graph
+they fuse, so their values are bit-identical to that graph; the prefix core
+combines two softmax blocks and matches the joined attention to round-off.
+A fused node shares one backward computation between the VJPs of its
+parents through :func:`shared_vjps`.
 
 Inside :func:`no_grad` the ops compute the same values but record no
 graph: every node they create is a leaf, so intermediate values are freed
-as soon as nothing refers to them.  Fused nodes check :func:`recording` and
-build no VJP closures there.
+as soon as nothing refers to them.  Every op and fused node checks
+:func:`recording` after computing its value and builds no VJP closures
+there.
 
 :func:`named_parameters` names the parameter nodes of a params dataclass
 after its fields.
@@ -189,8 +192,11 @@ def shared_vjps(grads, count: int) -> tuple:
 
 def add(a, b) -> Node:
     a, b = _coerce_pair(a, b)
+    out = a.value + b.value
+    if not _recording:
+        return Node(out)
     return Node(
-        a.value + b.value,
+        out,
         (a, b),
         (
             lambda g: unbroadcast(g, a.value.shape),
@@ -201,8 +207,11 @@ def add(a, b) -> Node:
 
 def sub(a, b) -> Node:
     a, b = _coerce_pair(a, b)
+    out = a.value - b.value
+    if not _recording:
+        return Node(out)
     return Node(
-        a.value - b.value,
+        out,
         (a, b),
         (
             lambda g: unbroadcast(g, a.value.shape),
@@ -213,8 +222,11 @@ def sub(a, b) -> Node:
 
 def mul(a, b) -> Node:
     a, b = _coerce_pair(a, b)
+    out = a.value * b.value
+    if not _recording:
+        return Node(out)
     return Node(
-        a.value * b.value,
+        out,
         (a, b),
         (
             lambda g: unbroadcast(g * b.value, a.value.shape),
@@ -235,9 +247,12 @@ def matmul(a, b) -> Node:
             f"matmul expects a left operand of rank >= 2 and a 2-D right operand, "
             f"got {a.shape} @ {b.shape}"
         )
+    out = a.value @ b.value
+    if not _recording:
+        return Node(out)
     k, n = b.shape
     return Node(
-        a.value @ b.value,
+        out,
         (a, b),
         (
             lambda g: (g.reshape(-1, n) @ b.value.T).reshape(a.value.shape),
@@ -254,8 +269,14 @@ def gelu(a) -> Node:
     """Gaussian error linear unit, exact (erf) form; smooth everywhere."""
     a = as_node(a)
     x = a.value
-    cdf = 0.5 * (1.0 + _erf(x * _INV_SQRT2))
-    out = (x * cdf).astype(x.dtype)
+    # cdf = 0.5 * (1 + erf(x / sqrt(2))) in one buffer
+    cdf = x * _INV_SQRT2
+    _erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    out = (x * cdf).astype(x.dtype, copy=False)
+    if not _recording:
+        return Node(out)
 
     def vjp(g):
         pdf = _INV_SQRT2PI * np.exp(-0.5 * x * x)
@@ -267,6 +288,8 @@ def gelu(a) -> Node:
 def reduce_sum(a, axis=None, keepdims=False) -> Node:
     a = as_node(a)
     out = a.value.sum(axis=axis, keepdims=keepdims)
+    if not _recording:
+        return Node(out)
 
     def vjp(g):
         g = np.asarray(g)
@@ -285,8 +308,11 @@ def reduce_mean(a, axis=None, keepdims=False) -> Node:
 
 def reshape(a, shape) -> Node:
     a = as_node(a)
+    out = a.value.reshape(shape)
+    if not _recording:
+        return Node(out)
     return Node(
-        a.value.reshape(shape),
+        out,
         (a,),
         (lambda g: g.reshape(a.value.shape),),
     )
@@ -295,8 +321,11 @@ def reshape(a, shape) -> Node:
 def broadcast_to(a, shape) -> Node:
     """Read-only broadcast view of ``a``; the gradient sums over the copies."""
     a = as_node(a)
+    out = np.broadcast_to(a.value, shape)
+    if not _recording:
+        return Node(out)
     return Node(
-        np.broadcast_to(a.value, shape),
+        out,
         (a,),
         (lambda g: unbroadcast(g, a.value.shape),),
     )
@@ -306,9 +335,12 @@ def concat(nodes, axis: int = 0) -> Node:
     nodes = [as_node(n) for n in nodes]
     if not nodes:
         raise ValueError("concat of an empty node list")
+    out = np.concatenate([n.value for n in nodes], axis=axis)
+    if not _recording:
+        return Node(out)
     splits = list(accumulate(n.value.shape[axis] for n in nodes))[:-1]
     return Node(
-        np.concatenate([n.value for n in nodes], axis=axis),
+        out,
         tuple(nodes),
         shared_vjps(lambda g: np.split(g, splits, axis=axis), len(nodes)),
     )

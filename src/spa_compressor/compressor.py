@@ -11,11 +11,14 @@ Four stages, each a thin composition of the numeric kernels:
                   layers against the fused ASR + scene context.  In
                   "frame-conditioned" mode the context is extended with
                   the current frame's normalized vision tokens so event
-                  blocks can differ per frame; the frames are folded into
-                  the batch axis, so each layer runs once for all of them,
-                  and the frame-independent context is projected to keys
-                  and values once per layer and broadcast across frames.
-                  "global-context" mode uses the frame-independent context
+                  blocks can differ per frame.  One decoder loop serves
+                  both modes: its state is (B, Nh, E, D), with Nh = 1
+                  until a cross-attention reads frame-own tokens, so the
+                  first layer's self-attention and query projection run
+                  once per video.  Each frame-conditioned cross-attention
+                  is one kernels.prefix_attend: the frame-independent
+                  context is projected once per layer and never tiled
+                  over frames.  "global-context" mode uses that context
                   only, so one event block is decoded and broadcast.
 4. assembly     - output is [scene block, then per frame: timestamp token
                   followed by its E event tokens], flattened to
@@ -42,9 +45,9 @@ from .kernels import (
     ffn_params,
     layer_norm,
     layer_norm_params,
+    prefix_attend,
     project_kv,
     self_attention,
-    shared_prefix_kv,
 )
 from .sequence import AsrSentence, Frame, InterleavedSequence, align_sentences, build_sequence
 from .time_encoder import encode_timestamp, time_encoder_params
@@ -342,32 +345,30 @@ class SpaCompressor:
     def extract_events(self, fused_asr: Node, scene: Node, vision: Node) -> Node:
         """Produce E event tokens per frame, (B, N, E, D).
 
-        The query bank is one (E, D) parameter replicated for every frame.
-        Each decoder layer runs once for all frames: they are folded into
-        the batch axis, and the frame-independent context is projected to
-        keys and values once per layer.  In global-context mode every frame
-        sees the same context, so one block is decoded and broadcast.
+        The query bank is one (E, D) parameter replicated for every frame,
+        so the decoder state ``h`` is (B, Nh, E, D) with Nh = 1 until a
+        cross-attention reads the frames' own vision tokens, and N after.
+        In frame-conditioned mode every cross-attention is a
+        :func:`prefix_attend` into [fused ASR + scene, the frame's tokens];
+        in global-context mode it reads the shared context only, so one
+        block is decoded and broadcast.
         """
-        batch, n_frames, l_v, d = vision.shape
+        batch, n_frames, _, d = vision.shape
+        e = self.events.queries.shape[0]
         shared = ad.concat([fused_asr, scene], axis=1)
-        if self.config.mode == MODE_GLOBAL:
-            h = self._decode_events(batch, lambda p: project_kv(shared, p))
-            e = h.shape[1]
-            return ad.broadcast_to(ad.reshape(h, (batch, 1, e, d)), (batch, n_frames, e, d))
-        frames = ad.reshape(layer_norm(vision, self.events.ln_vision), (batch * n_frames, l_v, d))
-        h = self._decode_events(batch * n_frames, lambda p: shared_prefix_kv(shared, frames, p))
-        return ad.reshape(h, (batch, n_frames) + h.shape[1:])
-
-    def _decode_events(self, rows: int, keys_values) -> Node:
-        """Run the event decoder over ``rows`` query blocks; ``keys_values``
-        maps a layer's cross-attention parameters to its projected context."""
-        h = layer_norm(_tile_batch(self.events.queries, rows), self.events.ln_init)
+        own = layer_norm(vision, self.events.ln_vision) if self.config.mode == MODE_FRAME else None
+        h = layer_norm(ad.broadcast_to(self.events.queries, (batch, 1, e, d)), self.events.ln_init)
         for layer in self.events.layers:
-            h = h + self_attention(layer_norm(h, layer.ln_self), layer.self_attn)
-            k, v = keys_values(layer.cross_attn)
-            h = h + attend(layer_norm(h, layer.ln_cross), k, v, layer.cross_attn)
+            x = ad.reshape(layer_norm(h, layer.ln_self), (-1, e, d))  # (B*Nh, E, D)
+            h = h + ad.reshape(self_attention(x, layer.self_attn), h.shape)
+            q, p = layer_norm(h, layer.ln_cross), layer.cross_attn
+            if own is None:
+                q = ad.reshape(q, (batch, e, d))
+                h = h + ad.reshape(attend(q, *project_kv(shared, p), p), h.shape)
+            else:
+                h = h + prefix_attend(q, shared, own, p)
             h = h + ffn(layer_norm(h, layer.ln_ffn), layer.ffn)
-        return h
+        return ad.broadcast_to(h, (batch, n_frames, e, d))
 
     def assemble(self, scene: Node, events: Node, timestamps: list[Node]) -> ForwardResult:
         """Interleave timestamp tokens with event blocks and prepend scene."""

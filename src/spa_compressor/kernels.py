@@ -5,8 +5,13 @@ both the forward result and analytic gradients come from one code path.
 Layer norm and the attention core (head split, scores, softmax, weighted
 sum, head merge) are fused nodes: one node each with closed-form numpy VJPs,
 whose forward runs the same numpy operations, in the same order, as the
-op-by-op graph it fuses, so its values are bit-identical to that graph.  The
-attention projections and the FFN are ``matmul``/``add``/``gelu`` nodes.
+op-by-op graph it fuses, so its values are bit-identical to that graph.
+The prefix attention core is the event stage's cross-attention: per-frame
+queries attend into a context shared by every frame followed by each
+frame's own tokens, and the two key blocks are scored separately and
+combined by their row maxima and sums, so the shared block is never tiled
+over frames.  The attention projections and the FFN are
+``matmul``/``add``/``gelu`` nodes.
 Weights are initialized uniformly in [-1/sqrt(D), 1/sqrt(D)] from a seeded
 generator, which makes every run bit-reproducible.
 """
@@ -118,36 +123,13 @@ def _check_context(q: Node, kv: Node) -> None:
 
 
 def project_kv(kv: Node, p: AttentionParams) -> tuple[Node, Node]:
-    """Key and value projections of a context ``kv`` (batch, Lkv, D).
+    """Key and value projections of a context ``kv`` (..., Lkv, D).
 
     Projections act row by row, so a context shared by several query
-    batches can be projected once and broadcast; see
-    :func:`shared_prefix_kv`.
+    blocks can be projected once; see :func:`prefix_attend`.
     """
     check_finite(kv.value, "attention key/value input")
     return _project(kv, p.wk, p.bk), _project(kv, p.wv, p.bv)
-
-
-def shared_prefix_kv(shared: Node, rows: Node, p: AttentionParams) -> tuple[Node, Node]:
-    """Keys and values of the contexts [shared, own tokens] of B*N query
-    batches: ``shared`` (B, L_s, D) is common to N consecutive batches and
-    ``rows`` (B*N, L_r, D) holds each batch's own tokens.
-
-    The shared part is projected once and broadcast over its N batches,
-    which is exact because the projections act row by row.
-    """
-    batch, l_s, dim = shared.shape
-    n_rows, l_r, _ = rows.shape
-    n = n_rows // batch
-
-    def join(s: Node, r: Node) -> Node:
-        s = ad.broadcast_to(ad.reshape(s, (batch, 1, l_s, dim)), (batch, n, l_s, dim))
-        r = ad.reshape(r, (batch, n, l_r, dim))
-        return ad.reshape(ad.concat([s, r], axis=2), (n_rows, l_s + l_r, dim))
-
-    k_shared, v_shared = project_kv(shared, p)
-    k_rows, v_rows = project_kv(rows, p)
-    return join(k_shared, k_rows), join(v_shared, v_rows)
 
 
 def attention_core(q: Node, k: Node, v: Node, heads: int) -> Node:
@@ -195,6 +177,85 @@ def attention_core(q: Node, k: Node, v: Node, heads: int) -> Node:
     return Node(out, (q, k, v), ad.shared_vjps(grads, 3))
 
 
+def prefix_attention_core(q: Node, k_s: Node, v_s: Node, k_r: Node, v_r: Node, heads: int) -> Node:
+    """:func:`attention_core` of per-frame queries into the contexts
+    [shared prefix, the frame's own tokens], without joining them.
+
+    ``q`` (B, Nq, Lq, D) is already scaled, with Nq 1 (one query block for
+    every frame) or N; ``k_s``/``v_s`` (B, L_s, D) are the projected shared
+    prefix and ``k_r``/``v_r`` (B, N, L_r, D) each frame's own keys and
+    values.  The shared block is scored once, by one GEMM per batch entry
+    and head over all Nq*Lq query rows, and is never tiled over frames.
+    Each block keeps its row max m, its exps and their row sum l; the two
+    are combined as FlashAttention does (Dao et al., 2022), rescaling block
+    i by a_i = exp(m_i - max(m_s, m_r)):
+    out = (a_s O_s + a_r O_r) / (a_s l_s + a_r l_r), with O = exps @ V.
+
+    Returns the (B, N, Lq, D) node.  The VJP rebuilds the per-frame softmax
+    weights from the kept exps and factors; the shared keys and values take
+    the gradient summed over frames, and so does ``q`` when Nq is 1.
+    """
+    batch, n_q, l_q, dim = q.shape
+    head_dim = dim // heads
+
+    def split(a):  # (B, ..., L, D) -> (B, heads, ..., L, head_dim)
+        a = a.reshape(a.shape[:-1] + (heads, head_dim))
+        return a.transpose(0, a.ndim - 2, *range(1, a.ndim - 2), a.ndim - 1)
+
+    def merge(a):  # (B, heads, ..., L, head_dim) -> (B, ..., L, D)
+        a = a.transpose(0, *range(2, a.ndim - 1), 1, a.ndim - 1)
+        return a.reshape(a.shape[:-2] + (dim,))
+
+    def block(scores, vh):
+        """Row max, exps (in place of the scores), row sum and exps @ V."""
+        m = scores.max(axis=-1, keepdims=True)
+        scores -= m
+        np.exp(scores, out=scores)
+        return m, scores, scores.sum(axis=-1, keepdims=True), scores @ vh
+
+    qh = split(q.value).reshape(batch, heads, n_q * l_q, head_dim)
+    ksh, vsh, krh, vrh = split(k_s.value), split(v_s.value), split(k_r.value), split(v_r.value)
+    m_s, e_s, l_s, o_s = block(qh @ ksh.swapaxes(-1, -2), vsh)
+    qh = qh.reshape(batch, heads, n_q, l_q, head_dim)
+    m_s, e_s, l_s, o_s = (a.reshape(batch, heads, n_q, l_q, -1) for a in (m_s, e_s, l_s, o_s))
+    m_r, e_r, l_r, o_r = block(qh @ krh.swapaxes(-1, -2), vrh)
+    m = np.maximum(m_s, m_r)
+    a_s, a_r = np.exp(m_s - m), np.exp(m_r - m)
+    denom = a_s * l_s + a_r * l_r
+    out_h = (a_s * o_s + a_r * o_r) / denom
+    out = merge(out_h)
+    if not ad.recording():
+        return Node(out)
+
+    def grads(g):
+        gh = split(g)
+        row = (gh * out_h).sum(axis=-1, keepdims=True)
+        w_s, w_r = e_s * (a_s / denom), e_r * (a_r / denom)
+        d_s = w_s * (gh @ vsh[:, :, None].swapaxes(-1, -2) - row)
+        d_r = w_r * (gh @ vrh.swapaxes(-1, -2) - row)
+        d_q = d_s @ ksh[:, :, None] + d_r @ krh
+        if n_q == 1:
+            d_q = d_q.sum(axis=2, keepdims=True)
+        return (
+            merge(d_q),
+            merge((d_s.swapaxes(-1, -2) @ qh).sum(axis=2)),
+            merge((w_s.swapaxes(-1, -2) @ gh).sum(axis=2)),
+            merge(d_r.swapaxes(-1, -2) @ qh),
+            merge(w_r.swapaxes(-1, -2) @ gh),
+        )
+
+    return Node(out, (q, k_s, v_s, k_r, v_r), ad.shared_vjps(grads, 5))
+
+
+def _around_core(core, q: Node, p: AttentionParams, *keys_values) -> Node:
+    """The q projection, scaled by 1/sqrt(head_dim), the attention ``core``
+    over ``keys_values`` and the output projection."""
+    check_finite(q.value, "attention query input")
+    scale = 1.0 / np.sqrt(q.shape[-1] // p.heads)
+    context = core(_project(q, p.wq, p.bq) * scale, *keys_values, p.heads)
+    return _project(context, p.wo, p.bo)
+
+
 def attend(q: Node, k: Node, v: Node, p: AttentionParams) -> Node:
     """Multi-head scaled-dot-product attention of queries ``q`` into
     projected keys ``k`` and values ``v``, each (batch, Lkv, D).
@@ -206,11 +267,18 @@ def attend(q: Node, k: Node, v: Node, p: AttentionParams) -> Node:
     _check_context(q, k)
     if v.shape != k.shape:
         raise ValueError(f"key/value shape mismatch: {k.shape} vs {v.shape}")
-    check_finite(q.value, "attention query input")
+    return _around_core(attention_core, q, p, k, v)
 
-    scale = 1.0 / np.sqrt(q.shape[2] // p.heads)
-    context = attention_core(_project(q, p.wq, p.bq) * scale, k, v, p.heads)
-    return _project(context, p.wo, p.bo)
+
+def prefix_attend(q: Node, shared: Node, own: Node, p: AttentionParams) -> Node:
+    """Attention of per-frame queries ``q`` (B, Nq, Lq, D), Nq 1 or N, into
+    the contexts [``shared`` (B, L_s, D), the frame's ``own`` tokens
+    (B, N, L_r, D)]; returns (B, N, Lq, D).
+
+    The shared prefix is projected once for all frames, and the core is
+    :func:`prefix_attention_core`, so it is never tiled over frames.
+    """
+    return _around_core(prefix_attention_core, q, p, *project_kv(shared, p), *project_kv(own, p))
 
 
 def cross_attention(q: Node, kv: Node, p: AttentionParams) -> Node:

@@ -11,7 +11,10 @@ Lines starting with '#' are comments.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
+
+import numpy as np
 
 from .goldenio import read_tensor, write_tensor
 from .kernels import check_finite
@@ -36,9 +39,21 @@ def write_video(directory, frames: list[Frame], sentences: list[AsrSentence]) ->
 
 
 def _read_finite(path: Path):
-    """A SPAT tensor that holds no NaN or infinity."""
+    """A SPAT tensor that holds no NaN or infinity, and no value so large
+    that layer norm's sum of squares over its width overflows float32.
+
+    |x - mean| <= 2 max|x|, so that sum stays finite while
+    max|x| <= sqrt(float32 max / (4 width)).  The bound is float32's, so
+    the tensor is valid in either precision and survives the cast.
+    """
     tensor = read_tensor(path)
     check_finite(tensor, str(path))
+    if tensor.size:
+        width = tensor.shape[-1] if tensor.ndim else 1
+        bound = math.sqrt(float(np.finfo(np.float32).max) / (4 * width))
+        peak = float(np.abs(tensor).max())
+        if peak > bound:
+            raise ValueError(f"{path}: magnitude {peak:.3g} exceeds {bound:.3g}, the limit for width {width}")
     return tensor
 
 

@@ -1,9 +1,17 @@
+import contextlib
+
 import numpy as np
 import pytest
 
 from spa_compressor import autodiff as ad
 from spa_compressor.autodiff import Node
-from spa_compressor.kernels import LayerNormParams, attention_core, layer_norm, layer_norm_params
+from spa_compressor.kernels import (
+    LayerNormParams,
+    attention_core,
+    layer_norm,
+    layer_norm_params,
+    prefix_attention_core,
+)
 from spa_compressor.time_encoder import TimeEncoderParams, encode_timestamp
 
 
@@ -42,6 +50,9 @@ FUSED = [
     (lambda q, k, v: attention_core(q, k, v, heads=3), [(1, 4, 6), (1, 2, 6), (1, 2, 6)]),  # Lq > Lk
     (lambda e, *w: encode_timestamp(47.3, TimeEncoderParams(4, e, *w)), [(11, 4)] + GRU_WEIGHTS),
     (lambda e, *w: encode_timestamp(11.1, TimeEncoderParams(4, e, *w)), [(11, 4)] + GRU_WEIGHTS),  # "11.1": a repeated row
+    # B=2 of N=3 frames: a query block shared by every frame, then one per frame
+    (lambda q, *kv: prefix_attention_core(q, *kv, heads=2), [(2, 1, 3, 4), (2, 5, 4), (2, 5, 4), (2, 3, 2, 4), (2, 3, 2, 4)]),
+    (lambda q, *kv: prefix_attention_core(q, *kv, heads=2), [(2, 3, 3, 4), (2, 5, 4), (2, 5, 4), (2, 3, 2, 4), (2, 3, 2, 4)]),
 ]
 
 OPS = [
@@ -91,12 +102,15 @@ def test_unrecorded_node_gradient_is_an_error():
 
 
 def test_float32_graph_stays_float32():
-    x = Node(np.ones((1, 2, 4), dtype=np.float32))
-    y = ad.gelu(1.0 - x * 0.5) + 2.0
-    assert y.value.dtype == np.float32
-    z = layer_norm(y, layer_norm_params(4, np.float32)) * (1.0 / 3.0)
-    assert z.value.dtype == np.float32
-    assert attention_core(z, z, z, heads=2).value.dtype == np.float32
+    # python scalars adopt the float32 dtype, with and without a graph
+    for context in (contextlib.nullcontext, ad.no_grad):
+        with context():
+            x = Node(np.ones((1, 2, 4), dtype=np.float32))
+            y = ad.gelu(1.0 - x * 0.5) + 2.0
+            assert y.value.dtype == np.float32
+            z = layer_norm(y, layer_norm_params(4, np.float32)) * (1.0 / 3.0)
+            assert z.value.dtype == np.float32
+            assert attention_core(z, z, z, heads=2).value.dtype == np.float32
 
 
 @pytest.mark.parametrize("build,shapes", FUSED)

@@ -221,9 +221,13 @@ def poison_tensor(path, value):
          ["video.manifest:3: malformed record: non-finite value in ", "frame_00001.spat at index (0, 1)"]),
         (lambda m: poison_tensor(m.parent / "sentence_00001.spat", np.inf),
          ["video.manifest:5: malformed record: non-finite value in ", "sentence_00001.spat at index (0, 1)"]),
+        (lambda m: poison_tensor(m.parent / "frame_00001.spat", 1e300),
+         ["video.manifest:3: malformed record: ", "frame_00001.spat: magnitude 1e+300 exceeds 3.26e+18"]),
+        (lambda m: poison_tensor(m.parent / "sentence_00001.spat", -1e39),
+         ["video.manifest:5: malformed record: ", "sentence_00001.spat: magnitude 1e+39 exceeds 3.26e+18"]),
     ],
     ids=["frame-time-nan", "frame-time-inf", "frame-time-1e6", "sentence-start-nan", "not-utf8",
-         "frame-tensor-nan", "sentence-tensor-inf"],
+         "frame-tensor-nan", "sentence-tensor-inf", "frame-tensor-1e300", "sentence-tensor-1e39"],
 )
 def test_malformed_video_is_one_error_line(tmp_path, capsys, corrupt, fragments):
     frames, sentences = generate(SyntheticVideoSpec(3, 2, 2, 8, seed=4))

@@ -1,24 +1,30 @@
 """Fuzz the input edge: mutated SPAT files, manifests and INI files.
 
-Each example corrupts one input of a toy video or config and runs the CLI
-in-process.  Whatever the corruption, the command either succeeds (exit 0,
-nothing on stderr) or fails cleanly: exit 1 or 2 with exactly one
-``error:`` line on stderr and no traceback.  ``golden verify`` may also
-report a snapshot mismatch, which is a check failure (exit 1, ``FAIL`` on
-stdout, nothing on stderr) rather than an input error.
+Each example corrupts one input of a toy video or config, or sets one value
+of a video tensor near a numeric limit, and runs the CLI in-process, in
+either precision.  Whatever the corruption, the command either succeeds
+(exit 0, nothing on stderr and no warning) or fails cleanly: exit 1 or 2
+with exactly one ``error:`` line on stderr and no traceback.
+``golden verify`` may also report a snapshot mismatch, which is a check
+failure (exit 1, ``FAIL`` on stdout, nothing on stderr) rather than an
+input error.
 """
 
 import io
+import math
 import shutil
 import tempfile
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spa_compressor.cli import main
+from spa_compressor.goldenio import read_tensor, write_tensor
 from spa_compressor.manifest import write_video
 from spa_compressor.synthetic import SyntheticVideoSpec, generate
 
@@ -40,6 +46,16 @@ TOKENS = [
 GARBAGE = st.text(alphabet="ab=[]#;:% \t\\", max_size=6)
 FIELD = st.one_of(st.sampled_from(TOKENS), GARBAGE)
 
+# tensor values at and around each limit an input value meets: the bound
+# that keeps layer norm's sum of squares over the toy width 8 finite in
+# float32, the float32 cast and the float64 range (beyond it: infinity)
+LIMITS = [math.sqrt(float(np.finfo(np.float32).max) / 32), float(np.finfo(np.float32).max),
+          float(np.finfo(np.float64).max)]
+VALUE = st.builds(
+    lambda limit, factor, sign: sign * limit * factor,
+    st.sampled_from(LIMITS), st.sampled_from([0.5, 1 - 1e-6, 1.0, 1 + 1e-6, 2.0]), st.sampled_from([1.0, -1.0]),
+)
+
 
 @pytest.fixture(scope="module")
 def pristine(tmp_path_factory):
@@ -54,10 +70,14 @@ def pristine(tmp_path_factory):
 
 
 def cli(argv):
+    """Exit code, stdout and stderr of ``spa`` run with ``argv``; a warning
+    is put on stderr, where the command line would print it."""
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
+    with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = main(argv)
-    return code, out.getvalue(), err.getvalue()
+    shown = "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
+    return code, out.getvalue(), shown + err.getvalue()
 
 
 @st.composite
@@ -106,17 +126,24 @@ def edit_bytes(data: bytes, edit) -> bytes:
     return data[:position] + payload + data[position:]
 
 
-TARGETS = ["video spat", "video manifest", "run config", "golden spat", "golden manifest"]
+TARGETS = ["video spat", "video value", "video manifest", "run config", "golden spat", "golden manifest"]
 
 
 @settings(max_examples=50, deadline=None)
-@given(target=st.sampled_from(TARGETS), which=st.integers(0, 15), lines=line_edits(), data=byte_edits())
-def test_mutated_inputs_end_in_exit_0_or_one_error_line(pristine, target, which, lines, data):
+@given(target=st.sampled_from(TARGETS), which=st.integers(0, 15), lines=line_edits(), data=byte_edits(),
+       value=VALUE, precision=st.sampled_from([[], ["--precision", "f32"]]))
+def test_mutated_inputs_end_in_exit_0_or_one_error_line(pristine, target, which, lines, data, value, precision):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         shutil.copytree(pristine, root, dirs_exist_ok=True)
         video, goldens = root / "video" / "video.manifest", root / "goldens"
-        if target.endswith("spat"):
+        if target == "video value":
+            files = sorted(video.parent.glob("*.spat"))
+            path = files[which % len(files)]
+            tensor = read_tensor(path)
+            tensor.flat[which % tensor.size] = value
+            write_tensor(path, tensor)
+        elif target.endswith("spat"):
             files = sorted((video.parent if target == "video spat" else goldens).glob("*.spat"))
             path = files[which % len(files)]
             path.write_bytes(edit_bytes(path.read_bytes(), data))
@@ -131,7 +158,7 @@ def test_mutated_inputs_end_in_exit_0_or_one_error_line(pristine, target, which,
             model = ["--d", "8", "--l-v", "2"]
             if target == "run config":
                 model = ["--config", str(root / "config.ini")]
-            argv = ["run", *model, "--manifest", str(video), "--out", str(root / "out.spat")]
+            argv = [*precision, "run", *model, "--manifest", str(video), "--out", str(root / "out.spat")]
         code, out, err = cli(argv)
 
     assert "Traceback" not in err

@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import numpy as np
@@ -269,6 +270,17 @@ class TestManifestIo:
         for a, b in zip(sentences, back_sentences):
             assert (a.start, a.end) == (b.start, b.end)
             np.testing.assert_array_equal(a.tokens, b.tokens)
+
+    def test_tensor_magnitude_is_bounded_by_the_float32_layer_norm_square(self, tmp_path):
+        # width W: |x| <= sqrt(float32 max / (4 W)) keeps layer norm's sum of squares finite
+        frames, sentences = generate(SyntheticVideoSpec(**TOY_VIDEO))
+        width = frames[0].vision_tokens.shape[1]
+        bound = math.sqrt(float(np.finfo(np.float32).max) / (4 * width))
+        frames[0].vision_tokens[0, 0] = -bound
+        read_video(write_video(tmp_path / "at", frames, sentences))
+        frames[0].vision_tokens[0, 0] = -bound * (1 + 1e-12)
+        with pytest.raises(ValueError, match=r"video.manifest:2: malformed record: .*frame_00000.spat: magnitude"):
+            read_video(write_video(tmp_path / "above", frames, sentences))
 
     def test_malformed_line_reports_location(self, tmp_path):
         frames, sentences = generate(SyntheticVideoSpec(**TOY_VIDEO))

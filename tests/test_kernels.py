@@ -16,9 +16,10 @@ from spa_compressor.kernels import (
     ffn_params,
     layer_norm,
     layer_norm_params,
+    prefix_attend,
+    prefix_attention_core,
     project_kv,
     self_attention,
-    shared_prefix_kv,
 )
 
 
@@ -147,14 +148,25 @@ class TestAttention:
 
 class TestAttendSharedContext:
     def test_matches_cross_attention_on_materialized_context(self, rng):
-        # two shared contexts, each the prefix of three query batches
+        # two batch entries of three frames each; the query block is shared
+        # by every frame (Nq = 1) or is each frame's own (Nq = 3)
         p = attention_params(8, 2, rng)
         shared = rng.standard_normal((2, 5, 8))
-        own = rng.standard_normal((6, 2, 8))
-        q = Node(rng.standard_normal((6, 4, 8)))
-        got = attend(q, *shared_prefix_kv(Node(shared), Node(own), p), p).value
-        context = np.concatenate([np.repeat(shared, 3, axis=0), own], axis=1)
-        np.testing.assert_allclose(got, cross_attention(q, Node(context), p).value, atol=1e-12)
+        own = rng.standard_normal((2, 3, 2, 8))
+        context = np.concatenate([np.repeat(shared[:, None], 3, axis=1), own], axis=2).reshape(6, 7, 8)
+        for n_q in (1, 3):
+            q = rng.standard_normal((2, n_q, 4, 8))
+            q_rows = Node(np.broadcast_to(q, (2, 3, 4, 8)).reshape(6, 4, 8))
+
+            got = prefix_attention_core(
+                Node(q), Node(shared), Node(2.0 * shared), Node(own), Node(2.0 * own), heads=2
+            ).value
+            want = attention_core(q_rows, Node(context), Node(2.0 * context), heads=2).value
+            np.testing.assert_allclose(got.reshape(6, 4, 8), want, rtol=0, atol=1e-12)
+
+            got = prefix_attend(Node(q), Node(shared), Node(own), p).value
+            want = cross_attention(q_rows, Node(context), p).value
+            np.testing.assert_allclose(got.reshape(6, 4, 8), want, rtol=0, atol=1e-12)
 
     def test_key_value_shape_mismatch_is_an_error(self, rng):
         p = attention_params(4, 2, rng)
@@ -242,15 +254,17 @@ class TestKernelGradients:
         )
 
     def test_attend_gradients_through_shared_and_per_frame_context(self, rng):
-        # the shared context feeds every frame, so its gradient sums over them
+        # the shared context feeds every frame, so its gradient sums over
+        # them, and so does the gradient of a query block shared by all frames
         p = attention_params(4, 2, rng)
-        shared = Node(rng.standard_normal((1, 2, 4)))
-        frames = Node(rng.standard_normal((3, 2, 4)))
-        q = Node(rng.standard_normal((3, 2, 4)))
-        self.fd_check(
-            ad.named_parameters(p) + [("shared", shared), ("frames", frames), ("q", q)],
-            lambda: attend(q, *shared_prefix_kv(shared, frames, p), p),
-        )
+        shared = Node(rng.standard_normal((2, 2, 4)))
+        frames = Node(rng.standard_normal((2, 3, 2, 4)))
+        for n_q in (1, 3):
+            q = Node(rng.standard_normal((2, n_q, 2, 4)))
+            self.fd_check(
+                ad.named_parameters(p) + [("shared", shared), ("frames", frames), ("q", q)],
+                lambda: prefix_attend(q, shared, frames, p),
+            )
 
     def test_ffn_gradients(self, rng):
         p = ffn_params(3, rng)
