@@ -19,6 +19,12 @@ combines two softmax blocks and matches the joined attention to round-off.
 A fused node shares one backward computation between the VJPs of its
 parents through :func:`shared_vjps`.
 
+Every VJP returns its parent's dtype, so the backward of a float32 graph
+stays float32.  Python scalars adopt their partner's dtype, and the one
+float64 step, the CDF in :func:`gelu`'s forward, is cast back.  It stays
+float64 only so that a float32 GELU value is the float64 formula rounded
+once; a float32 CDF would change float32 forward values.
+
 Inside :func:`no_grad` the ops compute the same values but record no
 graph: every node they create is a leaf, so intermediate values are freed
 as soon as nothing refers to them.  Every op and fused node checks
@@ -266,21 +272,35 @@ _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
 def gelu(a) -> Node:
-    """Gaussian error linear unit, exact (erf) form; smooth everywhere."""
+    """Gaussian error linear unit, exact (erf) form; smooth everywhere.
+
+    The forward computes the CDF in float64 (the float64 constant promotes
+    it) and casts the product, so float32 values are those of the float64
+    formula rounded once.  The VJP computes in the input's dtype.
+    """
     a = as_node(a)
     x = a.value
+    dtype = x.dtype
     # cdf = 0.5 * (1 + erf(x / sqrt(2))) in one buffer
     cdf = x * _INV_SQRT2
     _erf(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
-    out = (x * cdf).astype(x.dtype, copy=False)
+    out = (x * cdf).astype(dtype, copy=False)
     if not _recording:
         return Node(out)
+    cdf = cdf.astype(dtype, copy=False)
 
     def vjp(g):
-        pdf = _INV_SQRT2PI * np.exp(-0.5 * x * x)
-        return g * (cdf + x * pdf)
+        # g * (cdf + x * pdf), pdf = exp(-x^2 / 2) / sqrt(2 pi), in one buffer
+        t = x * dtype.type(-0.5)
+        t *= x
+        np.exp(t, out=t)
+        t *= dtype.type(_INV_SQRT2PI)
+        t *= x
+        t += cdf
+        t *= g
+        return t
 
     return Node(out, (a,), (vjp,))
 

@@ -90,8 +90,8 @@ def encode_timestamp(t: float, p: TimeEncoderParams) -> Node:
     steps = []
     for k in range(len(rows)):
         x = xs[k : k + 1]
-        z = expit(x @ w_z + h @ u_z + b_z).astype(dtype)
-        r = expit(x @ w_r + h @ u_r + b_r).astype(dtype)
+        z = expit(x @ w_z + h @ u_z + b_z)
+        r = expit(x @ w_r + h @ u_r + b_r)
         rh = r * h
         n = np.tanh(x @ w_n + rh @ u_n + b_n)
         steps.append((h, z, r, rh, n))

@@ -5,6 +5,7 @@ import pytest
 
 from oracles import naive_attention, naive_ffn, naive_layer_norm
 
+from spa_compressor import autodiff as ad
 from spa_compressor.autodiff import Node
 from spa_compressor.compressor import (
     MODE_FRAME,
@@ -13,6 +14,7 @@ from spa_compressor.compressor import (
     CompressorConfig,
     SpaCompressor,
 )
+from spa_compressor.fitting import make_teacher_target
 from spa_compressor.synthetic import SyntheticVideoSpec, generate
 
 
@@ -383,6 +385,36 @@ class TestParameters:
         }
         counts = {g: sum(node.value.size for _, node in named) for g, named in model.parameter_groups().items()}
         assert counts == expected
+
+
+def mse_gradients(toy_video, mode, precision):
+    """Each group's ``(param, gradient)`` pairs after one MSE backward of
+    the seeded toy model, as ``fitting.fit`` takes them."""
+    frames, sentences = toy_video
+    model = SpaCompressor(toy_config(dim=8, vision_tokens_per_frame=2, mode=mode, precision=precision))
+    target = make_teacher_target(model, frames, sentences, seed=5)
+    diff = model.forward(frames, sentences).flattened - Node(target)
+    grads = ad.backward(ad.reduce_mean(diff * diff))
+    return {
+        group: [(node, ad.grad_of(grads, node)) for _, node in named]
+        for group, named in model.parameter_groups().items()
+    }
+
+
+@pytest.mark.parametrize("mode", MODES)
+class TestFloat32Backward:
+    def test_every_gradient_has_its_parameters_dtype(self, toy_video, mode):
+        for named in mse_gradients(toy_video, mode, "f32").values():
+            for node, grad in named:
+                assert node.value.dtype == grad.dtype == np.float32
+
+    def test_gradients_match_float64_per_group(self, toy_video, mode):
+        f32 = mse_gradients(toy_video, mode, "f32")
+        f64 = mse_gradients(toy_video, mode, "f64")
+        for group, named in f64.items():
+            exact = np.concatenate([grad.ravel() for _, grad in named])
+            approx = np.concatenate([grad.ravel() for _, grad in f32[group]]).astype(np.float64)
+            assert np.linalg.norm(approx - exact) <= 1e-5 * np.linalg.norm(exact), group
 
 
 class TestConfig:
