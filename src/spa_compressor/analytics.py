@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 DEFAULT_FRAMES_PER_SENTENCE = 1.836
@@ -45,8 +46,8 @@ class RatioInput:
             ("frames_per_sentence", self.frames_per_sentence),
             ("visual_tokens_per_frame", self.visual_tokens_per_frame),
         ):
-            if not v > 0:
-                raise ValueError(f"{name} must be strictly positive, got {v}")
+            if not (math.isfinite(v) and v > 0):
+                raise ValueError(f"{name} must be finite and strictly positive, got {v}")
 
 
 @dataclass(frozen=True)
@@ -68,6 +69,8 @@ class CompressionReport:
 def compression_ratio(inputs: RatioInput) -> CompressionReport:
     n = inputs.frames_per_sentence
     ratio = (inputs.scene_tokens + n * inputs.event_tokens) / (n * inputs.visual_tokens_per_frame)
+    if not math.isfinite(ratio):
+        raise ValueError(f"compression ratio is not finite for {inputs}")
     return CompressionReport(inputs=inputs, ratio=ratio)
 
 

@@ -9,15 +9,15 @@ always produce the same graph and the same gradients.
 
 The ops here are the generic building blocks; a node cannot be indexed.
 The hot kernels are fused nodes built outside this module:
-``kernels.layer_norm``, ``kernels.attention_core``,
-``kernels.prefix_attention_core`` and ``time_encoder.encode_timestamp``
-(the whole character GRU of one timestamp).  Each is one node over all its
-inputs with closed-form VJPs.  The forwards of the first, second and fourth
-run the same numpy operations, in the same order, as the op-by-op graph
-they fuse, so their values are bit-identical to that graph; the prefix core
-combines two softmax blocks and matches the joined attention to round-off.
-A fused node shares one backward computation between the VJPs of its
-parents through :func:`shared_vjps`.
+``kernels.layer_norm``, ``kernels.attention_core`` and
+``time_encoder.encode_timestamp`` (the whole character GRU of one
+timestamp).  Each is one node over all its inputs with closed-form VJPs.
+The forwards of layer norm and the GRU run the same numpy operations, in
+the same order, as the op-by-op graph they fuse, so their values are
+bit-identical to that graph; the attention core combines one or two
+softmax blocks and matches the op-by-op attention to round-off.  A fused
+node shares one backward computation between the VJPs of its parents
+through :func:`shared_vjps`.
 
 Every VJP returns its parent's dtype, so the backward of a float32 graph
 stays float32.  Python scalars adopt their partner's dtype, and the one

@@ -15,11 +15,11 @@ Four stages, each a thin composition of the numeric kernels:
                   both modes: its state is (B, Nh, E, D), with Nh = 1
                   until a cross-attention reads frame-own tokens, so the
                   first layer's self-attention and query projection run
-                  once per video.  Each frame-conditioned cross-attention
-                  is one kernels.prefix_attend: the frame-independent
-                  context is projected once per layer and never tiled
-                  over frames.  "global-context" mode uses that context
-                  only, so one event block is decoded and broadcast.
+                  once per video.  Each cross-attention is one
+                  kernels.attend: the frame-independent context is
+                  projected once per layer and never tiled over frames.
+                  "global-context" mode uses that context only, so one
+                  event block is decoded and broadcast.
 4. assembly     - output is [scene block, then per frame: timestamp token
                   followed by its E event tokens], flattened to
                   (B, S + N*(1+E), D) by one concat over all frames.
@@ -45,8 +45,6 @@ from .kernels import (
     ffn_params,
     layer_norm,
     layer_norm_params,
-    prefix_attend,
-    project_kv,
     self_attention,
 )
 from .sequence import AsrSentence, Frame, InterleavedSequence, align_sentences, build_sequence
@@ -348,10 +346,10 @@ class SpaCompressor:
         The query bank is one (E, D) parameter replicated for every frame,
         so the decoder state ``h`` is (B, Nh, E, D) with Nh = 1 until a
         cross-attention reads the frames' own vision tokens, and N after.
-        In frame-conditioned mode every cross-attention is a
-        :func:`prefix_attend` into [fused ASR + scene, the frame's tokens];
-        in global-context mode it reads the shared context only, so one
-        block is decoded and broadcast.
+        Every cross-attention is one :func:`attend` into the fused ASR +
+        scene context, joined in frame-conditioned mode by the frame's own
+        tokens; in global-context mode it reads the shared context only, so
+        one block is decoded and broadcast.
         """
         batch, n_frames, _, d = vision.shape
         e = self.events.queries.shape[0]
@@ -361,12 +359,7 @@ class SpaCompressor:
         for layer in self.events.layers:
             x = ad.reshape(layer_norm(h, layer.ln_self), (-1, e, d))  # (B*Nh, E, D)
             h = h + ad.reshape(self_attention(x, layer.self_attn), h.shape)
-            q, p = layer_norm(h, layer.ln_cross), layer.cross_attn
-            if own is None:
-                q = ad.reshape(q, (batch, e, d))
-                h = h + ad.reshape(attend(q, *project_kv(shared, p), p), h.shape)
-            else:
-                h = h + prefix_attend(q, shared, own, p)
+            h = h + attend(layer_norm(h, layer.ln_cross), shared, own, layer.cross_attn)
             h = h + ffn(layer_norm(h, layer.ln_ffn), layer.ffn)
         return ad.broadcast_to(h, (batch, n_frames, e, d))
 

@@ -86,7 +86,9 @@ def verify(cases: list[GoldenCase], directory) -> list[VerifyResult]:
             continue
         divergence = first_divergence(stored, fresh, tolerance)
         if divergence is None:
-            results.append(VerifyResult(case.name, True, f"match within {tolerance:g}"))
+            max_diff = float(np.abs(stored - fresh).max())
+            detail = f"match within {tolerance:g}, max |diff| {max_diff:.3g}"
+            results.append(VerifyResult(case.name, True, detail))
         else:
             idx, a, b = divergence
             results.append(

@@ -3,15 +3,15 @@
 All kernels take and return :class:`~spa_compressor.autodiff.Node` values so
 both the forward result and analytic gradients come from one code path.
 Layer norm and the attention core (head split, scores, softmax, weighted
-sum, head merge) are fused nodes: one node each with closed-form numpy VJPs,
-whose forward runs the same numpy operations, in the same order, as the
-op-by-op graph it fuses, so its values are bit-identical to that graph.
-The prefix attention core is the event stage's cross-attention: per-frame
-queries attend into a context shared by every frame followed by each
-frame's own tokens, and the two key blocks are scored separately and
-combined by their row maxima and sums, so the shared block is never tiled
-over frames.  The attention projections and the FFN are
-``matmul``/``add``/``gelu`` nodes.
+sum, head merge) are fused nodes: one node each with closed-form numpy VJPs.
+Layer norm's forward runs the same numpy operations, in the same order, as
+the op-by-op graph it fuses, so its values are bit-identical to that graph.
+Every attention in the compressor is one :func:`attend`: queries attend
+into a context shared by every query row and, for the event stage's
+frame-conditioned cross-attention, each frame's own tokens.  The core
+scores the two key blocks separately and combines them by their row maxima
+and sums, so the shared block is never tiled over frames.  The attention
+projections and the FFN are ``matmul``/``add``/``gelu`` nodes.
 Weights are initialized uniformly in [-1/sqrt(D), 1/sqrt(D)] from a seeded
 generator, which makes every run bit-reproducible.
 """
@@ -113,97 +113,45 @@ def _project(x: Node, w: Node, b: Node) -> Node:
     return x @ w + b
 
 
-def _check_context(q: Node, kv: Node) -> None:
-    if q.ndim != 3 or kv.ndim != 3:
-        raise ValueError(f"expected rank-3 inputs, got {q.shape} and {kv.shape}")
-    if kv.shape[0] != q.shape[0] or kv.shape[2] != q.shape[2]:
-        raise ValueError(f"query/context shape mismatch: {q.shape} vs {kv.shape}")
-    if kv.shape[1] == 0:
-        raise ValueError("attention context is empty (zero key/value tokens)")
+# head split and merge transposes by the rank of the split array
+_SPLIT_AXES = {4: (0, 2, 1, 3), 5: (0, 3, 1, 2, 4)}
+_MERGE_AXES = {4: (0, 2, 1, 3), 5: (0, 2, 3, 1, 4)}
 
 
-def project_kv(kv: Node, p: AttentionParams) -> tuple[Node, Node]:
-    """Key and value projections of a context ``kv`` (..., Lkv, D).
+def attention_core(
+    q: Node, k: Node, v: Node, heads: int, k_own: Node | None = None, v_own: Node | None = None
+) -> Node:
+    """softmax(q k^T) v per head as one node: head split, scores, softmax
+    over the keys, weighted sum and head merge.
 
-    Projections act row by row, so a context shared by several query
-    blocks can be projected once; see :func:`prefix_attend`.
-    """
-    check_finite(kv.value, "attention key/value input")
-    return _project(kv, p.wk, p.bk), _project(kv, p.wv, p.bv)
-
-
-def attention_core(q: Node, k: Node, v: Node, heads: int) -> Node:
-    """softmax(q k^T) v per head for (batch, L, D) queries ``q``, already
-    scaled, and projected keys ``k`` and values ``v``: head split, scores,
-    softmax over the key axis, weighted sum and head merge as one node over
-    ``(q, k, v)``.
-
-    Returns the (batch, Lq, D) node.  It keeps only what its VJP reads, the
-    head-split q/k/v and the (batch*heads, Lq, Lkv) softmax weights; the VJP
-    computes the softmax gradient once for all three parents.
-    """
-    batch, l_q, dim = q.shape
-    l_kv = k.shape[1]
-    head_dim = dim // heads
-
-    def split(a, length):
-        a = a.reshape(batch, length, heads, head_dim).transpose(0, 2, 1, 3)
-        return a.reshape(batch * heads, length, head_dim)
-
-    def merge(a, length):
-        a = a.reshape(batch, heads, length, head_dim).transpose(0, 2, 1, 3)
-        return a.reshape(batch, length, dim)
-
-    qh, kh, vh = split(q.value, l_q), split(k.value, l_kv), split(v.value, l_kv)
-    # the score buffer becomes the weights in place
-    weights = qh @ kh.transpose(0, 2, 1)
-    weights -= weights.max(axis=-1, keepdims=True)
-    np.exp(weights, out=weights)
-    weights /= weights.sum(axis=-1, keepdims=True)
-    out = merge(weights @ vh, l_q)
-    if not ad.recording():
-        return Node(out)
-
-    def grads(g):
-        gh = split(g, l_q)
-        d_weights = gh @ vh.transpose(0, 2, 1)
-        d_scores = weights * (d_weights - (d_weights * weights).sum(axis=-1, keepdims=True))
-        return (
-            merge(d_scores @ kh, l_q),
-            merge(d_scores.transpose(0, 2, 1) @ qh, l_kv),
-            merge(weights.transpose(0, 2, 1) @ gh, l_kv),
-        )
-
-    return Node(out, (q, k, v), ad.shared_vjps(grads, 3))
-
-
-def prefix_attention_core(q: Node, k_s: Node, v_s: Node, k_r: Node, v_r: Node, heads: int) -> Node:
-    """:func:`attention_core` of per-frame queries into the contexts
-    [shared prefix, the frame's own tokens], without joining them.
-
-    ``q`` (B, Nq, Lq, D) is already scaled, with Nq 1 (one query block for
-    every frame) or N; ``k_s``/``v_s`` (B, L_s, D) are the projected shared
-    prefix and ``k_r``/``v_r`` (B, N, L_r, D) each frame's own keys and
-    values.  The shared block is scored once, by one GEMM per batch entry
-    and head over all Nq*Lq query rows, and is never tiled over frames.
-    Each block keeps its row max m, its exps and their row sum l; the two
+    ``q`` (B, Lq, D) or (B, Nq, Lq, D) holds the queries, already scaled.
+    ``k``/``v`` (B, L, D) are a key/value block shared by every query row;
+    it is scored by one GEMM per batch entry and head over all of them, and
+    never tiled.  ``k_own``/``v_own`` (B, N, L_r, D), if given, are each
+    frame's own keys and values, for a (B, Nq, Lq, D) ``q`` with Nq 1 (one
+    query block for every frame) or N; the keys of frame n are then
+    [k, k_own[:, n]].
+    Each block keeps its row max m, its exps and their row sum l; blocks
     are combined as FlashAttention does (Dao et al., 2022), rescaling block
-    i by a_i = exp(m_i - max(m_s, m_r)):
-    out = (a_s O_s + a_r O_r) / (a_s l_s + a_r l_r), with O = exps @ V.
+    i by a_i = exp(m_i - max_j m_j):
+    out = sum_i a_i O_i / sum_i a_i l_i, with O_i = exps_i @ V_i.
 
-    Returns the (B, N, Lq, D) node.  The VJP rebuilds the per-frame softmax
-    weights from the kept exps and factors; the shared keys and values take
-    the gradient summed over frames, and so does ``q`` when Nq is 1.
+    Returns the node of ``q``'s shape, with N query blocks when there is an
+    own block.  When recording, each block's exps become its softmax
+    weights in place, except where one query block's exps serve every frame;
+    those are scaled per frame in the VJP.  The one VJP loops over the
+    blocks; ``ad.unbroadcast`` sums the gradients of the shared block, and
+    of a query block shared by every frame, over the frames.
     """
-    batch, n_q, l_q, dim = q.shape
+    batch, dim = q.shape[0], q.shape[-1]
     head_dim = dim // heads
 
     def split(a):  # (B, ..., L, D) -> (B, heads, ..., L, head_dim)
         a = a.reshape(a.shape[:-1] + (heads, head_dim))
-        return a.transpose(0, a.ndim - 2, *range(1, a.ndim - 2), a.ndim - 1)
+        return a.transpose(_SPLIT_AXES[a.ndim])
 
     def merge(a):  # (B, heads, ..., L, head_dim) -> (B, ..., L, D)
-        a = a.transpose(0, *range(2, a.ndim - 1), 1, a.ndim - 1)
+        a = a.transpose(_MERGE_AXES[a.ndim])
         return a.reshape(a.shape[:-2] + (dim,))
 
     def block(scores, vh):
@@ -213,84 +161,99 @@ def prefix_attention_core(q: Node, k_s: Node, v_s: Node, k_r: Node, v_r: Node, h
         np.exp(scores, out=scores)
         return m, scores, scores.sum(axis=-1, keepdims=True), scores @ vh
 
-    qh = split(q.value).reshape(batch, heads, n_q * l_q, head_dim)
-    ksh, vsh, krh, vrh = split(k_s.value), split(v_s.value), split(k_r.value), split(v_r.value)
-    m_s, e_s, l_s, o_s = block(qh @ ksh.swapaxes(-1, -2), vsh)
-    qh = qh.reshape(batch, heads, n_q, l_q, head_dim)
-    m_s, e_s, l_s, o_s = (a.reshape(batch, heads, n_q, l_q, -1) for a in (m_s, e_s, l_s, o_s))
-    m_r, e_r, l_r, o_r = block(qh @ krh.swapaxes(-1, -2), vrh)
-    m = np.maximum(m_s, m_r)
-    a_s, a_r = np.exp(m_s - m), np.exp(m_r - m)
-    denom = a_s * l_s + a_r * l_r
-    out_h = (a_s * o_s + a_r * o_r) / denom
+    qh = split(q.value)
+    kh, vh = split(k.value), split(v.value)
+    # the shared block: one GEMM per batch entry and head over every query row
+    stats = block(qh.reshape(batch, heads, -1, head_dim) @ kh.swapaxes(-1, -2), vh)
+    if q.ndim == 4:  # back to (B, heads, Nq, Lq, .); the shared keys broadcast over frames
+        stats = [a.reshape(qh.shape[:-1] + a.shape[-1:]) for a in stats]
+        kh, vh = kh[:, :, None], vh[:, :, None]
+    m, exps, denom, out_h = stats
+    blocks, parents = [(1.0, exps, kh, vh)], (q, k, v)
+    if k_own is not None:
+        krh, vrh = split(k_own.value), split(v_own.value)
+        m_r, e_r, l_r, o_r = block(qh @ krh.swapaxes(-1, -2), vrh)
+        m_max = np.maximum(m, m_r)
+        a_s, a_r = np.exp(m - m_max), np.exp(m_r - m_max)
+        denom = a_s * denom + a_r * l_r
+        out_h = a_s * out_h + a_r * o_r
+        blocks = [(a_s, exps, kh, vh), (a_r, e_r, krh, vrh)]
+        parents += (k_own, v_own)
+    out_h = out_h / denom
     out = merge(out_h)
     if not ad.recording():
         return Node(out)
+    # the VJP reads each block's softmax weights, exps * a / denom
+    weights = []
+    for a, exps, kh, vh in blocks:
+        scale = a / denom
+        if scale.shape[:-1] == exps.shape[:-1]:
+            exps *= scale
+            scale = None
+        weights.append((exps, scale, kh, vh))
 
     def grads(g):
         gh = split(g)
         row = (gh * out_h).sum(axis=-1, keepdims=True)
-        w_s, w_r = e_s * (a_s / denom), e_r * (a_r / denom)
-        d_s = w_s * (gh @ vsh[:, :, None].swapaxes(-1, -2) - row)
-        d_r = w_r * (gh @ vrh.swapaxes(-1, -2) - row)
-        d_q = d_s @ ksh[:, :, None] + d_r @ krh
-        if n_q == 1:
-            d_q = d_q.sum(axis=2, keepdims=True)
-        return (
-            merge(d_q),
-            merge((d_s.swapaxes(-1, -2) @ qh).sum(axis=2)),
-            merge((w_s.swapaxes(-1, -2) @ gh).sum(axis=2)),
-            merge(d_r.swapaxes(-1, -2) @ qh),
-            merge(w_r.swapaxes(-1, -2) @ gh),
+        d_q, d_kv = [], []
+        for w, scale, kh, vh in weights:
+            if scale is not None:
+                w = w * scale
+            d = w * (gh @ vh.swapaxes(-1, -2) - row)
+            d_q.append(d @ kh)
+            d_kv += [
+                ad.unbroadcast(d.swapaxes(-1, -2) @ qh, kh.shape),
+                ad.unbroadcast(w.swapaxes(-1, -2) @ gh, vh.shape),
+            ]
+        d_all = [ad.unbroadcast(sum(d_q[1:], d_q[0]), qh.shape)] + d_kv
+        return tuple(merge(d).reshape(p.shape) for d, p in zip(d_all, parents))
+
+    return Node(out, parents, ad.shared_vjps(grads, len(parents)))
+
+
+def attend(q: Node, shared: Node, own: Node | None, p: AttentionParams) -> Node:
+    """Multi-head scaled-dot-product attention of queries ``q``, (B, Lq, D)
+    or (B, Nq, Lq, D), into a context ``shared`` (B, L, D) read by every
+    query row and, if given, each frame's ``own`` tokens (B, N, L_r, D), for
+    a (B, Nq, Lq, D) ``q`` with Nq 1 or N; frame n reads [shared, own[:, n]].
+
+    Softmax runs over the keys with scale 1/sqrt(head_dim), applied to the
+    projected queries; no mask.  Each context is projected once, so the
+    shared one is never tiled over frames, and the q, k, v and output
+    projections are ``matmul``/``add`` nodes around :func:`attention_core`.
+    """
+    if q.ndim not in (3, 4) or shared.ndim != 3:
+        raise ValueError(
+            f"expected rank-3 or rank-4 queries and a rank-3 context, got {q.shape} and {shared.shape}"
         )
-
-    return Node(out, (q, k_s, v_s, k_r, v_r), ad.shared_vjps(grads, 5))
-
-
-def _around_core(core, q: Node, p: AttentionParams, *keys_values) -> Node:
-    """The q projection, scaled by 1/sqrt(head_dim), the attention ``core``
-    over ``keys_values`` and the output projection."""
+    if shared.shape[0] != q.shape[0] or shared.shape[2] != q.shape[-1]:
+        raise ValueError(f"query/context shape mismatch: {q.shape} vs {shared.shape}")
+    if shared.shape[1] == 0:
+        raise ValueError("attention context is empty (zero key/value tokens)")
+    contexts = [shared]
+    if own is not None:
+        if own.ndim != 4 or q.ndim != 4 or own.shape[0] != q.shape[0] or own.shape[3] != q.shape[3]:
+            raise ValueError(f"query/frame context shape mismatch: {q.shape} vs {own.shape}")
+        if q.shape[1] not in (1, own.shape[1]):
+            raise ValueError(f"{q.shape[1]} query blocks for {own.shape[1]} frames")
+        contexts.append(own)
     check_finite(q.value, "attention query input")
+    for context in contexts:
+        if context is not q:
+            check_finite(context.value, "attention key/value input")
+    keys_values = [_project(c, w, b) for c in contexts for w, b in ((p.wk, p.bk), (p.wv, p.bv))]
     scale = 1.0 / np.sqrt(q.shape[-1] // p.heads)
-    context = core(_project(q, p.wq, p.bq) * scale, *keys_values, p.heads)
-    return _project(context, p.wo, p.bo)
-
-
-def attend(q: Node, k: Node, v: Node, p: AttentionParams) -> Node:
-    """Multi-head scaled-dot-product attention of queries ``q`` into
-    projected keys ``k`` and values ``v``, each (batch, Lkv, D).
-
-    Softmax runs over the key axis with scale 1/sqrt(head_dim), applied to
-    the projected queries; no mask.  The q and output projections are
-    ``matmul``/``add`` nodes around :func:`attention_core`.
-    """
-    _check_context(q, k)
-    if v.shape != k.shape:
-        raise ValueError(f"key/value shape mismatch: {k.shape} vs {v.shape}")
-    return _around_core(attention_core, q, p, k, v)
-
-
-def prefix_attend(q: Node, shared: Node, own: Node, p: AttentionParams) -> Node:
-    """Attention of per-frame queries ``q`` (B, Nq, Lq, D), Nq 1 or N, into
-    the contexts [``shared`` (B, L_s, D), the frame's ``own`` tokens
-    (B, N, L_r, D)]; returns (B, N, Lq, D).
-
-    The shared prefix is projected once for all frames, and the core is
-    :func:`prefix_attention_core`, so it is never tiled over frames.
-    """
-    return _around_core(prefix_attention_core, q, p, *project_kv(shared, p), *project_kv(own, p))
+    out = attention_core(_project(q, p.wq, p.bq) * scale, *keys_values[:2], p.heads, *keys_values[2:])
+    return _project(out, p.wo, p.bo)
 
 
 def cross_attention(q: Node, kv: Node, p: AttentionParams) -> Node:
-    """Multi-head scaled-dot-product attention of queries ``q`` into ``kv``:
-    :func:`project_kv` followed by :func:`attend`."""
-    _check_context(q, kv)
-    k, v = project_kv(kv, p)
-    return attend(q, k, v, p)
+    """Attention of (batch, Lq, D) queries ``q`` into (batch, Lkv, D) ``kv``."""
+    return attend(q, kv, None, p)
 
 
 def self_attention(x: Node, p: AttentionParams) -> Node:
-    return cross_attention(x, x, p)
+    return attend(x, x, None, p)
 
 
 @dataclass

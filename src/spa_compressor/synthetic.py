@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .sequence import AsrSentence, Frame
+from .time_encoder import MAX_TIME_SECONDS
 
 MIN_SENTENCE_WINDOW = 0.2  # seconds
 
@@ -29,8 +31,15 @@ class SyntheticVideoSpec:
             raise ValueError("sentence count cannot be negative")
         if not 1 <= self.sentence_tokens_min <= self.sentence_tokens_max:
             raise ValueError("sentence token range must satisfy 1 <= min <= max")
-        if self.frame_step <= 0:
-            raise ValueError("frame step must be positive")
+        if self.dim < 1 or self.vision_tokens_per_frame < 1:
+            raise ValueError("model dim and vision tokens per frame must be >= 1")
+        if not (math.isfinite(self.frame_step) and self.frame_step > 0):
+            raise ValueError(f"frame step must be finite and positive, got {self.frame_step}")
+        if (self.n_frames - 1) * self.frame_step >= MAX_TIME_SECONDS:
+            raise ValueError(
+                f"{self.n_frames} frames {self.frame_step:g}s apart end past "
+                f"the {MAX_TIME_SECONDS:.0f}s timestamp limit"
+            )
 
 
 def generate(spec: SyntheticVideoSpec) -> tuple[list[Frame], list[AsrSentence]]:

@@ -84,7 +84,7 @@ def test_algebraic_split_identity(s, e, n, dv):
     assert report.ratio == pytest.approx(s / (n * dv) + e / dv, rel=1e-12)
 
 
-@pytest.mark.parametrize("bad", [0, -1, -0.5])
+@pytest.mark.parametrize("bad", [0, -1, -0.5, float("nan"), float("inf"), float("-inf")])
 def test_non_positive_inputs_are_errors(bad):
     with pytest.raises(ValueError, match="strictly positive"):
         RatioInput(bad, 32)

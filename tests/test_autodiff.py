@@ -10,7 +10,6 @@ from spa_compressor.kernels import (
     attention_core,
     layer_norm,
     layer_norm_params,
-    prefix_attention_core,
 )
 from spa_compressor.time_encoder import TimeEncoderParams, encode_timestamp
 
@@ -46,13 +45,15 @@ GRU_WEIGHTS = [(4, 4), (4, 4), (4,)] * 3  # W, U, b of the update, reset and can
 # the fused nodes: one node each over all their inputs, closed-form VJPs
 FUSED = [
     (lambda x, s, b: layer_norm(x, LayerNormParams(s, b)), [(2, 3, 4), (4,), (4,)]),
-    (lambda q, k, v: attention_core(q, k, v, heads=2), [(2, 3, 4), (2, 5, 4), (2, 5, 4)]),
+    (lambda q, k, v: attention_core(q, k, v, heads=2), [(2, 3, 4), (2, 5, 4), (2, 5, 4)]),  # Lq < Lk
     (lambda q, k, v: attention_core(q, k, v, heads=3), [(1, 4, 6), (1, 2, 6), (1, 2, 6)]),  # Lq > Lk
+    # (B, 1, Lq, D) queries with no own block: the global-context event path
+    (lambda q, k, v: attention_core(q, k, v, heads=2), [(2, 1, 3, 4), (2, 5, 4), (2, 5, 4)]),
     (lambda e, *w: encode_timestamp(47.3, TimeEncoderParams(4, e, *w)), [(11, 4)] + GRU_WEIGHTS),
     (lambda e, *w: encode_timestamp(11.1, TimeEncoderParams(4, e, *w)), [(11, 4)] + GRU_WEIGHTS),  # "11.1": a repeated row
-    # B=2 of N=3 frames: a query block shared by every frame, then one per frame
-    (lambda q, *kv: prefix_attention_core(q, *kv, heads=2), [(2, 1, 3, 4), (2, 5, 4), (2, 5, 4), (2, 3, 2, 4), (2, 3, 2, 4)]),
-    (lambda q, *kv: prefix_attention_core(q, *kv, heads=2), [(2, 3, 3, 4), (2, 5, 4), (2, 5, 4), (2, 3, 2, 4), (2, 3, 2, 4)]),
+    # B=2 of N=3 frames with own blocks: a query block shared by every frame, then one per frame
+    (lambda q, k, v, *own: attention_core(q, k, v, 2, *own), [(2, 1, 3, 4), (2, 5, 4), (2, 5, 4), (2, 3, 2, 4), (2, 3, 2, 4)]),
+    (lambda q, k, v, *own: attention_core(q, k, v, 2, *own), [(2, 3, 3, 4), (2, 5, 4), (2, 5, 4), (2, 3, 2, 4), (2, 3, 2, 4)]),
 ]
 
 OPS = [

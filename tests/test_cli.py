@@ -56,6 +56,36 @@ class TestRatioCommand:
     def test_non_positive_input_fails(self, capsys):
         assert run_cli("ratio", "--s", "0", "--e", "32") == 1
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--grid", "1,infx2"], ["--s", "1e308", "--e", "1e308", "--n-avg", "1e308"]],
+    )
+    def test_non_finite_input_or_ratio_fails(self, capsys, flags):
+        assert run_cli("ratio", *flags) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--step", "nan"], "frame step must be finite and positive"),
+        (["--step", "inf"], "frame step must be finite and positive"),
+        (["--step", "nan", "--sentences", "0"], "frame step must be finite and positive"),
+        (["--step", "0"], "frame step must be finite and positive"),
+        (["--step", "1e300"], "timestamp limit"),
+        (["--step", "400000"], "timestamp limit"),
+        (["--d", "0"], "must be >= 1"),
+        (["--l-v", "0"], "must be >= 1"),
+    ],
+)
+def test_generate_rejects_a_video_that_run_cannot_read(tmp_path, capsys, flags, message):
+    assert run_cli("generate", "--out", str(tmp_path / "video"), *flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "video").exists()
+
 
 class TestGenerateAndRun:
     def test_generate_then_run_and_report(self, tmp_path, capsys):

@@ -243,6 +243,18 @@ class TestGolden:
         assert not results[0].ok
         assert "first divergence" in results[0].detail
 
+    def test_passing_case_reports_its_max_difference(self, tmp_path):
+        cases = [c for c in load_manifest(GOLDEN_MANIFEST) if c.name == "toy_f64"]
+        emit(cases, tmp_path)
+        assert verify(cases, tmp_path)[0].detail == "match within 1e-10, max |diff| 0"
+        path = tmp_path / "toy_f64.spat"
+        stored = read_tensor(path)
+        stored.flat[7] += 2.5e-11
+        write_tensor(path, stored)
+        result = verify(cases, tmp_path)[0]
+        assert result.ok
+        assert result.detail == "match within 1e-10, max |diff| 2.5e-11"
+
     def test_missing_file_fails_verification(self, tmp_path):
         cases = [c for c in load_manifest(GOLDEN_MANIFEST) if c.name == "toy_f64"]
         results = verify(cases, tmp_path)

@@ -16,9 +16,6 @@ from spa_compressor.kernels import (
     ffn_params,
     layer_norm,
     layer_norm_params,
-    prefix_attend,
-    prefix_attention_core,
-    project_kv,
     self_attention,
 )
 
@@ -158,22 +155,34 @@ class TestAttendSharedContext:
             q = rng.standard_normal((2, n_q, 4, 8))
             q_rows = Node(np.broadcast_to(q, (2, 3, 4, 8)).reshape(6, 4, 8))
 
-            got = prefix_attention_core(
-                Node(q), Node(shared), Node(2.0 * shared), Node(own), Node(2.0 * own), heads=2
+            got = attention_core(
+                Node(q), Node(shared), Node(2.0 * shared), 2, Node(own), Node(2.0 * own)
             ).value
             want = attention_core(q_rows, Node(context), Node(2.0 * context), heads=2).value
             np.testing.assert_allclose(got.reshape(6, 4, 8), want, rtol=0, atol=1e-12)
 
-            got = prefix_attend(Node(q), Node(shared), Node(own), p).value
+            got = attend(Node(q), Node(shared), Node(own), p).value
             want = cross_attention(q_rows, Node(context), p).value
             np.testing.assert_allclose(got.reshape(6, 4, 8), want, rtol=0, atol=1e-12)
 
-    def test_key_value_shape_mismatch_is_an_error(self, rng):
-        p = attention_params(4, 2, rng)
-        q = Node(rng.standard_normal((1, 2, 4)))
-        k, v = project_kv(Node(rng.standard_normal((1, 3, 4))), p)
-        with pytest.raises(ValueError, match="mismatch"):
-            attend(q, k, Node(v.value[:, :2]), p)
+    def test_query_blocks_without_own_context_match_the_3d_call(self, rng):
+        # the global-context event path: (B, 1, Lq, D) queries, shared context only
+        p = attention_params(8, 2, rng)
+        q = rng.standard_normal((2, 1, 4, 8))
+        shared = Node(rng.standard_normal((2, 5, 8)))
+        got = attend(Node(q), shared, None, p).value
+        assert got.shape == (2, 1, 4, 8)
+        want = cross_attention(Node(q[:, 0]), shared, p).value
+        np.testing.assert_allclose(got[:, 0], want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "q_shape,own_shape",
+        [((2, 1, 4, 8), (2, 3, 2, 6)), ((2, 1, 4, 8), (1, 3, 2, 8)), ((2, 2, 4, 8), (2, 3, 2, 8)), ((2, 4, 8), (2, 3, 2, 8))],
+    )
+    def test_own_context_shape_mismatch_is_an_error(self, rng, q_shape, own_shape):
+        p = attention_params(8, 2, rng)
+        with pytest.raises(ValueError, match="mismatch|query blocks"):
+            attend(Node(np.zeros(q_shape)), Node(np.zeros((2, 5, 8))), Node(np.zeros(own_shape)), p)
 
 
 class TestFfn:
@@ -263,7 +272,7 @@ class TestKernelGradients:
             q = Node(rng.standard_normal((2, n_q, 2, 4)))
             self.fd_check(
                 ad.named_parameters(p) + [("shared", shared), ("frames", frames), ("q", q)],
-                lambda: prefix_attend(q, shared, frames, p),
+                lambda: attend(q, shared, frames, p),
             )
 
     def test_ffn_gradients(self, rng):
