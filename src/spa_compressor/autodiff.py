@@ -28,8 +28,9 @@ once; a float32 CDF would change float32 forward values.
 Inside :func:`no_grad` the ops compute the same values but record no
 graph: every node they create is a leaf, so intermediate values are freed
 as soon as nothing refers to them.  Every op and fused node checks
-:func:`recording` after computing its value and builds no VJP closures
-there.
+:func:`recording` after computing its value and, when it is off, returns
+a leaf before it builds any VJP closure; :class:`Node` itself does not
+check.
 
 :func:`named_parameters` names the parameter nodes of a params dataclass
 after its fields.
@@ -94,18 +95,16 @@ class Node:
     ``parents`` and ``vjps`` are parallel tuples: ``vjps[i]`` maps the
     upstream gradient to the gradient contribution for ``parents[i]``.
     Leaf nodes (constants, parameters) have empty parents, and so does every
-    node created inside :func:`no_grad`.
+    node an op or fused node creates inside :func:`no_grad`, since each
+    passes no parents there; the constructor stores what it is given.
     """
 
     __slots__ = ("value", "parents", "vjps")
 
     def __init__(self, value, parents=(), vjps=()):
         self.value = np.asarray(value)
-        if _recording:
-            self.parents = parents
-            self.vjps = vjps
-        else:
-            self.parents = self.vjps = ()
+        self.parents = parents
+        self.vjps = vjps
 
     @property
     def shape(self):
@@ -114,10 +113,6 @@ class Node:
     @property
     def ndim(self):
         return self.value.ndim
-
-    @property
-    def dtype(self):
-        return self.value.dtype
 
     def __repr__(self):
         return f"Node(shape={self.value.shape})"
@@ -305,25 +300,23 @@ def gelu(a) -> Node:
     return Node(out, (a,), (vjp,))
 
 
-def reduce_sum(a, axis=None, keepdims=False) -> Node:
+def reduce_sum(a) -> Node:
+    """Sum of every element, a 0-d node."""
     a = as_node(a)
-    out = a.value.sum(axis=axis, keepdims=keepdims)
+    out = a.value.sum()
     if not _recording:
         return Node(out)
-
-    def vjp(g):
-        g = np.asarray(g)
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return np.broadcast_to(g, a.value.shape).copy()
-
-    return Node(out, (a,), (vjp,))
+    return Node(
+        out,
+        (a,),
+        (lambda g: np.broadcast_to(g, a.value.shape).copy(),),
+    )
 
 
-def reduce_mean(a, axis=None, keepdims=False) -> Node:
+def reduce_mean(a) -> Node:
+    """Mean of every element, a 0-d node."""
     a = as_node(a)
-    count = a.value.size if axis is None else a.value.shape[axis]
-    return mul(reduce_sum(a, axis=axis, keepdims=keepdims), 1.0 / count)
+    return mul(reduce_sum(a), 1.0 / a.value.size)
 
 
 def reshape(a, shape) -> Node:
@@ -393,10 +386,10 @@ def backward(root: Node) -> dict:
     if root.value.size != 1:
         raise ValueError(f"backward root must be scalar, got shape {root.value.shape}")
     grads: dict[int, np.ndarray] = {id(root): np.ones_like(root.value)}
+    # each node comes after every node that takes it as a parent, so its
+    # gradient is complete, and present, when it is reached
     for node in reversed(_topological_order(root)):
-        g = grads.get(id(node))
-        if g is None:
-            continue
+        g = grads[id(node)]
         for parent, vjp in zip(node.parents, node.vjps):
             contribution = vjp(g)
             existing = grads.get(id(parent))

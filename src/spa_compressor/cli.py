@@ -59,20 +59,25 @@ def _video_spec(args, config: CompressorConfig) -> SyntheticVideoSpec:
 
 
 def cmd_ratio(args) -> int:
-    if args.grid:
+    if args.grid is not None:
+        if args.s is not None or args.e is not None:
+            print("error: --grid cannot be combined with --s or --e", file=sys.stderr)
+            return 2
         try:
             s_part, e_part = args.grid.replace("×", "x").split("x")
             scene_grid = [float(v) for v in s_part.split(",") if v]
             event_grid = [float(v) for v in e_part.split(",") if v]
         except ValueError:
-            print(f"bad --grid {args.grid!r}; expected 's1,s2x e1,e2' syntax", file=sys.stderr)
+            scene_grid = event_grid = []
+        if not (scene_grid and event_grid):
+            print(f"error: bad --grid {args.grid!r}; expected 's1,s2x e1,e2' syntax", file=sys.stderr)
             return 2
         reports = analytics.sweep(scene_grid, event_grid, args.n_avg, args.dv)
         out = analytics.format_csv(reports) if args.format == "csv" else analytics.format_table(reports)
         print(out)
         return 0
     if args.s is None or args.e is None:
-        print("ratio needs either --grid or both --s and --e", file=sys.stderr)
+        print("error: ratio needs either --grid or both --s and --e", file=sys.stderr)
         return 2
     report = analytics.compression_ratio(analytics.RatioInput(args.s, args.e, args.n_avg, args.dv))
     print(f"ratio {report.display_ratio()}")

@@ -112,8 +112,9 @@ class CompressorConfig:
     precision: str = "f64"
 
     def __post_init__(self):
-        if min(self.scene_tokens, self.event_tokens, self.scene_layers, self.event_layers) < 1:
-            raise ValueError("scene/event token counts and layer counts must be >= 1")
+        if min(self.scene_tokens, self.event_tokens, self.vision_tokens_per_frame,
+               self.scene_layers, self.event_layers) < 1:
+            raise ValueError("scene/event/vision token counts and layer counts must be >= 1")
         if self.dim < 1 or self.heads < 1 or self.dim % self.heads != 0:
             raise ValueError(f"heads ({self.heads}) must divide model dim ({self.dim})")
         if self.mode not in MODES:
@@ -223,11 +224,6 @@ class StageOutputs:
 STAGES = ("fusion", "scene", "events", "times")
 
 
-def _tile_batch(x: Node, batch: int) -> Node:
-    """Broadcast an unbatched (L, D) parameter to (batch, L, D)."""
-    return ad.broadcast_to(x, (batch,) + x.shape)
-
-
 class SpaCompressor:
     """Scene/event compressor with learnable parameters and full autodiff."""
 
@@ -322,8 +318,6 @@ class SpaCompressor:
         tokens (B, N*L_v, D) for reuse by the scene stage.
         """
         b, n, l_v, d = vision.shape
-        if n * l_v == 0:
-            raise ValueError("no visual context: the video has zero vision tokens")
         vision_flat = ad.reshape(layer_norm(vision, self.fusion.ln_vision), (b, n * l_v, d))
         asr_norm = layer_norm(asr, self.fusion.ln_asr)
         attended = asr_norm + cross_attention(asr_norm, vision_flat, self.fusion.attn)
@@ -332,9 +326,9 @@ class SpaCompressor:
 
     def aggregate_scene(self, fused_asr: Node, vision_flat: Node) -> Node:
         """Distill the full token context into S scene tokens (B, S, D)."""
-        batch = fused_asr.shape[0]
         context = ad.concat([fused_asr, vision_flat], axis=1)
-        h = layer_norm(_tile_batch(self.scene.queries, batch), self.scene.ln_init)
+        queries = ad.broadcast_to(self.scene.queries, (fused_asr.shape[0], *self.scene.queries.shape))
+        h = layer_norm(queries, self.scene.ln_init)
         for layer in self.scene.layers:
             h = h + cross_attention(layer_norm(h, layer.ln_attn), context, layer.attn)
             h = h + ffn(layer_norm(h, layer.ln_ffn), layer.ffn)
@@ -364,14 +358,10 @@ class SpaCompressor:
         return ad.broadcast_to(h, (batch, n_frames, e, d))
 
     def assemble(self, scene: Node, events: Node, timestamps: list[Node]) -> ForwardResult:
-        """Interleave timestamp tokens with event blocks and prepend scene."""
+        """Interleave timestamp tokens with event blocks and prepend scene;
+        ``timestamps`` holds one (D,) node per frame, and there is at least
+        one frame."""
         batch, n_frames, n_events, d = events.shape
-        if len(timestamps) != n_frames:
-            raise ValueError(
-                f"need one timestamp embedding per frame: got {len(timestamps)} for {n_frames}"
-            )
-        if n_frames == 0:
-            return ForwardResult(scene=scene, events=events, flattened=scene)
         stamps = ad.reshape(ad.concat(timestamps, axis=0), (1, n_frames, 1, d))
         blocks = ad.concat([ad.broadcast_to(stamps, (batch, n_frames, 1, d)), events], axis=2)
         flat_blocks = ad.reshape(blocks, (batch, n_frames * (1 + n_events), d))
@@ -387,14 +377,15 @@ class SpaCompressor:
         sequence = build_sequence(frames, sentences, anchors)
 
         dtype = cfg.dtype
-        for f in frames:
-            if f.vision_tokens.shape != (cfg.vision_tokens_per_frame, cfg.dim):
-                raise ValueError(
-                    f"frame {f.index} vision tokens have shape {f.vision_tokens.shape}, "
-                    f"expected {(cfg.vision_tokens_per_frame, cfg.dim)}"
-                )
+        # align_sentences proved that every frame has frame 0's token shape
+        # and that every sentence's tokens are a 2-D (tokens, width) array
+        if frames[0].vision_tokens.shape != (cfg.vision_tokens_per_frame, cfg.dim):
+            raise ValueError(
+                f"frame vision tokens have shape {frames[0].vision_tokens.shape}, "
+                f"expected {(cfg.vision_tokens_per_frame, cfg.dim)}"
+            )
         for s in sentences:
-            if s.tokens.ndim != 2 or s.tokens.shape[1] != cfg.dim:
+            if s.tokens.shape[1] != cfg.dim:
                 raise ValueError(
                     f"sentence {s.index} tokens have shape {s.tokens.shape}, "
                     f"expected (tokens, {cfg.dim})"

@@ -47,7 +47,7 @@ def load_manifest(path) -> list[GoldenCase]:
             raise ValueError(f"{where}: {exc}") from None
         cases.append(GoldenCase(section.removeprefix("case:"), config, video))
     if not cases:
-        raise ValueError(f"no [case:*] sections in golden manifest {path}")
+        raise ValueError(f"{path}: no [case:*] sections in golden manifest")
     return cases
 
 

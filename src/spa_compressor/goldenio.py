@@ -60,10 +60,8 @@ def read_tensor(path) -> np.ndarray:
 
 
 def first_divergence(a: np.ndarray, b: np.ndarray, tolerance: float):
-    """Index and values of the first element pair differing beyond
-    ``tolerance``, or None if the arrays match."""
-    if a.shape != b.shape:
-        return ((), None, None)
+    """Index and values of the first element pair of two same-shape arrays
+    differing beyond ``tolerance``, or None if the arrays match."""
     diff = np.abs(a - b)
     bad = np.argwhere(diff > tolerance)
     if bad.size == 0:

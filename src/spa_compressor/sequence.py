@@ -120,8 +120,8 @@ def build_sequence(
     anchors: dict[int, int],
 ) -> InterleavedSequence:
     """Emit [timestamp_i, vision_i] per frame with each sentence block
-    inserted right after its anchor frame; sentence order is preserved."""
-    validate_frames(frames)
+    inserted right after its anchor frame; sentence order is preserved.
+    ``frames`` and ``sentences`` are those :func:`align_sentences` accepted."""
     n = len(frames)
     by_anchor: dict[int, list[AsrSentence]] = {}
     for s in sentences:

@@ -30,7 +30,6 @@ MAX_TIME_SECONDS = 1e6
 
 @dataclass
 class TimeEncoderParams:
-    dim: int
     embed: Node  # (len(DIGIT_ALPHABET), D)
     w_update: Node
     u_update: Node
@@ -48,7 +47,6 @@ def time_encoder_params(dim: int, rng: np.random.Generator, dtype=np.float64) ->
     mat = lambda: _param(rng, (dim, dim), bound, dtype)
     vec = lambda: _param(rng, (dim,), bound, dtype)
     return TimeEncoderParams(
-        dim=dim,
         embed=_param(rng, (len(DIGIT_ALPHABET), dim), bound, dtype),
         w_update=mat(), u_update=mat(), b_update=vec(),
         w_reset=mat(), u_reset=mat(), b_reset=vec(),
@@ -86,7 +84,7 @@ def encode_timestamp(t: float, p: TimeEncoderParams) -> Node:
     embed = p.embed.value
     xs = embed[rows]
     dtype = xs.dtype
-    h = np.zeros((1, p.dim), dtype=dtype)
+    h = np.zeros((1, embed.shape[1]), dtype=dtype)
     steps = []
     for k in range(len(rows)):
         x = xs[k : k + 1]
@@ -96,7 +94,7 @@ def encode_timestamp(t: float, p: TimeEncoderParams) -> Node:
         n = np.tanh(x @ w_n + rh @ u_n + b_n)
         steps.append((h, z, r, rh, n))
         h = (np.asarray(1.0, dtype=dtype) - z) * n + z * h
-    out = h.reshape(p.dim)
+    out = h.reshape(-1)
     if not ad.recording():
         return Node(out)
 

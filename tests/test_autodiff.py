@@ -49,8 +49,8 @@ FUSED = [
     (lambda q, k, v: attention_core(q, k, v, heads=3), [(1, 4, 6), (1, 2, 6), (1, 2, 6)]),  # Lq > Lk
     # (B, 1, Lq, D) queries with no own block: the global-context event path
     (lambda q, k, v: attention_core(q, k, v, heads=2), [(2, 1, 3, 4), (2, 5, 4), (2, 5, 4)]),
-    (lambda e, *w: encode_timestamp(47.3, TimeEncoderParams(4, e, *w)), [(11, 4)] + GRU_WEIGHTS),
-    (lambda e, *w: encode_timestamp(11.1, TimeEncoderParams(4, e, *w)), [(11, 4)] + GRU_WEIGHTS),  # "11.1": a repeated row
+    (lambda e, *w: encode_timestamp(47.3, TimeEncoderParams(e, *w)), [(11, 4)] + GRU_WEIGHTS),
+    (lambda e, *w: encode_timestamp(11.1, TimeEncoderParams(e, *w)), [(11, 4)] + GRU_WEIGHTS),  # "11.1": a repeated row
     # B=2 of N=3 frames with own blocks: a query block shared by every frame, then one per frame
     (lambda q, k, v, *own: attention_core(q, k, v, 2, *own), [(2, 1, 3, 4), (2, 5, 4), (2, 5, 4), (2, 3, 2, 4), (2, 3, 2, 4)]),
     (lambda q, k, v, *own: attention_core(q, k, v, 2, *own), [(2, 3, 3, 4), (2, 5, 4), (2, 5, 4), (2, 3, 2, 4), (2, 3, 2, 4)]),
@@ -65,8 +65,8 @@ OPS = [
     (lambda a, b: a @ b, [(2, 3, 4), (4, 5)]),  # batched vs shared
     (lambda a, b: a @ b, [(2, 2, 3, 4), (4, 5)]),  # two batch axes vs shared
     (lambda a: ad.gelu(a), [(4, 3)]),
-    (lambda a: ad.reduce_sum(a, axis=1, keepdims=True) * a, [(3, 4)]),
-    (lambda a: ad.reduce_mean(a, axis=-1, keepdims=True) - a, [(2, 5)]),
+    (lambda a: ad.reduce_sum(a) * a, [(3, 4)]),
+    (lambda a: ad.reduce_mean(a) - a, [(2, 5)]),
     (lambda a: ad.reshape(a, (6, 2)), [(3, 4)]),
     (lambda a: ad.broadcast_to(a, (2, 3, 4)), [(3, 1)]),
     (lambda a, b: ad.concat([a, b], axis=1), [(2, 3), (2, 2)]),

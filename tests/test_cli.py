@@ -49,9 +49,19 @@ class TestRatioCommand:
 
     def test_missing_tokens_is_usage_error(self, capsys):
         assert run_cli("ratio", "--s", "64") == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: ratio needs either --grid or both --s and --e\n"
 
     def test_malformed_grid_is_usage_error(self, capsys):
-        assert run_cli("ratio", "--grid", "64;32") == 2
+        for grid in ("64;32", "64x32x8", "1,2x", "x", "", "1,ax2"):
+            assert run_cli("ratio", "--grid", grid) == 2, grid
+            out, err = capsys.readouterr()
+            assert out == "" and err == f"error: bad --grid {grid!r}; expected 's1,s2x e1,e2' syntax\n"
+        # --grid sweeps its own scene and event counts, so --s and --e are not ignored but refused
+        for flags in (["--s", "64"], ["--e", "32"], ["--s", "64", "--e", "32"]):
+            assert run_cli("ratio", "--grid", "64x32", *flags) == 2, flags
+            out, err = capsys.readouterr()
+            assert out == "" and err == "error: --grid cannot be combined with --s or --e\n"
 
     def test_non_positive_input_fails(self, capsys):
         assert run_cli("ratio", "--s", "0", "--e", "32") == 1
@@ -77,6 +87,8 @@ class TestRatioCommand:
         (["--step", "400000"], "timestamp limit"),
         (["--d", "0"], "must be >= 1"),
         (["--l-v", "0"], "must be >= 1"),
+        (["--sentences", "-1"], "sentence count cannot be negative"),
+        (["--l-s-min", "5", "--l-s-max", "4"], "1 <= min <= max"),
     ],
 )
 def test_generate_rejects_a_video_that_run_cannot_read(tmp_path, capsys, flags, message):
@@ -255,9 +267,12 @@ def poison_tensor(path, value):
          ["video.manifest:3: malformed record: ", "frame_00001.spat: magnitude 1e+300 exceeds 3.26e+18"]),
         (lambda m: poison_tensor(m.parent / "sentence_00001.spat", -1e39),
          ["video.manifest:5: malformed record: ", "sentence_00001.spat: magnitude 1e+39 exceeds 3.26e+18"]),
+        (lambda m: m.write_text(m.read_text() + "scene 0 1.0 frame_00000.spat\n"),
+         ["video.manifest:7: malformed record: unknown record kind 'scene'"]),
     ],
     ids=["frame-time-nan", "frame-time-inf", "frame-time-1e6", "sentence-start-nan", "not-utf8",
-         "frame-tensor-nan", "sentence-tensor-inf", "frame-tensor-1e300", "sentence-tensor-1e39"],
+         "frame-tensor-nan", "sentence-tensor-inf", "frame-tensor-1e300", "sentence-tensor-1e39",
+         "unknown-record"],
 )
 def test_malformed_video_is_one_error_line(tmp_path, capsys, corrupt, fragments):
     frames, sentences = generate(SyntheticVideoSpec(3, 2, 2, 8, seed=4))
@@ -281,9 +296,11 @@ def test_malformed_video_is_one_error_line(tmp_path, capsys, corrupt, fragments)
         ("run", COMPRESSOR_INI + "scene_tokens = 9\n", "[compressor]: unknown key 'scene_tokens'"),
         ("golden", GOLDEN_CASE, "[case:toy]: missing key 'video_frames'"),
         ("golden", GOLDEN_CASE + "video_frames = 0\n", "[case:toy]: need at least one frame"),
+        ("golden", COMPRESSOR_INI, "no [case:*] sections"),
+        ("run", COMPRESSOR_INI + "precision = f16\n", "[compressor]: precision must be one of"),
     ],
     ids=["missing-key", "bad-int", "no-header", "no-section", "unknown-key",
-         "golden-missing-video-key", "golden-bad-video"],
+         "golden-missing-video-key", "golden-bad-video", "golden-no-case", "bad-precision"],
 )
 def test_malformed_ini_is_one_error_line(tmp_path, capsys, command, text, named):
     path = tmp_path / "bad.ini"

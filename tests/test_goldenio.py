@@ -33,6 +33,19 @@ def test_bad_magic_rejected(tmp_path):
         read_tensor(path)
 
 
+@pytest.mark.parametrize(
+    "offset, message", [(4, "unsupported format version 2"), (8, "invalid element width 2")], ids=["version", "width"]
+)
+def test_unsupported_header_field_rejected(tmp_path, offset, message):
+    path = tmp_path / "t.spat"
+    write_tensor(path, np.zeros(3))
+    raw = bytearray(path.read_bytes())
+    raw[offset : offset + 4] = (2).to_bytes(4, "little")
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match=rf"t\.spat: {message}$"):
+        read_tensor(path)
+
+
 def test_truncated_payload_rejected(tmp_path, rng):
     path = tmp_path / "t.spat"
     write_tensor(path, rng.standard_normal((4, 4)))

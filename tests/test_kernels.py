@@ -122,6 +122,12 @@ class TestAttention:
         with pytest.raises(ValueError, match="mismatch"):
             cross_attention(Node(np.zeros((1, 2, 4))), Node(np.zeros((1, 3, 6))), p)
 
+    @pytest.mark.parametrize("q_shape,kv_shape", [((2, 4), (1, 3, 4)), ((1, 1, 1, 2, 4), (1, 3, 4)), ((1, 2, 4), (1, 1, 3, 4))])
+    def test_rank_mismatch_is_an_error(self, rng, q_shape, kv_shape):
+        p = attention_params(4, 2, rng)
+        with pytest.raises(ValueError, match="expected rank-3 or rank-4 queries and a rank-3 context"):
+            cross_attention(Node(np.zeros(q_shape)), Node(np.zeros(kv_shape)), p)
+
     def test_self_attention_single_token(self, rng):
         p = attention_params(4, 2, rng)
         x = rng.standard_normal((1, 1, 4))

@@ -77,6 +77,28 @@ class TestAlign:
         with pytest.raises(ValueError, match=message):
             align_sentences(frames, sentences)
 
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda fs, ss: (fs[:1] + [dataclasses.replace(fs[1], vision_tokens=np.zeros((2, 4)))] + fs[2:], ss),
+             r"frames disagree on vision token shape: \[\(2, 4\), \(3, 4\)\]"),
+            (lambda fs, ss: (fs[:2] + [dataclasses.replace(fs[2], time_seconds=0.5)], ss),
+             "strictly increasing: frame 2 at 0.5 after 1"),
+            (lambda fs, ss: (fs, [dataclasses.replace(ss[0], start=0.5, end=0.4), ss[1]]),
+             "sentence 1 has start 0.5 > end 0.4"),
+            (lambda fs, ss: (fs, [ss[0], dataclasses.replace(ss[1], tokens=np.zeros((0, 4)))]),
+             "sentence 2 needs at least one token"),
+            (lambda fs, ss: (fs, [ss[0], dataclasses.replace(ss[1], start=0.3)]),
+             "non-overlapping: sentence 2 starts at 0.3 before 0.4"),
+        ],
+        ids=["vision-shapes-differ", "frame-times-repeat", "start-after-end", "no-tokens", "overlap"],
+    )
+    def test_malformed_video_is_an_error(self, corrupt, message):
+        # align_sentences is the one check of frames and sentences on the forward path
+        frames, sentences = corrupt(*make_video([0, 1, 2], [(0.1, 0.4), (0.5, 0.9)]))
+        with pytest.raises(ValueError, match=message):
+            align_sentences(frames, sentences)
+
     @pytest.mark.parametrize("seed", range(50))
     def test_random_videos_match_bisect_oracle(self, seed):
         rng = np.random.default_rng(seed)
