@@ -346,8 +346,6 @@ def broadcast_to(a, shape) -> Node:
 
 def concat(nodes, axis: int = 0) -> Node:
     nodes = [as_node(n) for n in nodes]
-    if not nodes:
-        raise ValueError("concat of an empty node list")
     out = np.concatenate([n.value for n in nodes], axis=axis)
     if not _recording:
         return Node(out)

@@ -121,6 +121,8 @@ class CompressorConfig:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
         if self.precision not in _DTYPES:
             raise ValueError(f"precision must be one of {sorted(_DTYPES)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     @property
     def dtype(self):
@@ -292,15 +294,6 @@ class SpaCompressor:
         "event": ("events",),
         "time_encoder": ("times",),
     }
-
-    @classmethod
-    def check_groups(cls, groups) -> None:
-        """Reject a name in ``groups`` that is not a parameter group."""
-        for group in groups:
-            if group not in cls.DOWNSTREAM:
-                raise ValueError(
-                    f"unknown parameter group {group!r}; expected one of {', '.join(cls.DOWNSTREAM)}"
-                )
 
     def parameters(self) -> list[tuple[str, Node]]:
         return [

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,8 +10,10 @@ from . import autodiff as ad
 from .compressor import PreparedInput, SpaCompressor, StageOutputs
 from .sequence import AsrSentence, Frame
 
-DEFAULT_STEP = 1e-5
-DEFAULT_TOLERANCE = 1e-4
+# the check's contract: central differences at STEP must match the
+# analytic gradient within relative error TOLERANCE
+STEP = 1e-5
+TOLERANCE = 1e-4
 # floor in the relative-error denominator: below this gradient magnitude
 # the comparison degrades to scaled absolute error, which keeps benign
 # structural zeros from dividing by noise
@@ -27,8 +28,8 @@ class GroupReport:
     worst_param: str
     frozen: bool = False
 
-    def passed(self, tolerance: float) -> bool:
-        return self.frozen or self.max_rel_err < tolerance
+    def passed(self) -> bool:
+        return self.frozen or self.max_rel_err < TOLERANCE
 
 
 def relative_error(analytic: float, numeric: float) -> float:
@@ -47,7 +48,6 @@ def finite_difference_check(
     model: SpaCompressor,
     frames: list[Frame],
     sentences: list[AsrSentence],
-    step: float = DEFAULT_STEP,
     freeze: tuple[str, ...] = (),
 ) -> list[GroupReport]:
     """Compare analytic gradients of a sum-of-outputs loss against central
@@ -57,13 +57,14 @@ def finite_difference_check(
     Each finite-difference loss reruns, value-only, only the stages
     downstream of the perturbed group and reuses the others' outputs, so it
     is the same float computation as a full forward.  Float64 models only:
-    at the default step, float32 round-off swamps the difference.  A step
-    that is not finite and positive, or an unknown group in ``freeze``, is a
-    ``ValueError``.
+    at ``STEP``, float32 round-off swamps the difference.  An unknown group
+    in ``freeze`` is a ``ValueError``.
     """
-    if not (math.isfinite(step) and step > 0):
-        raise ValueError(f"finite-difference step must be finite and positive, got {step}")
-    model.check_groups(freeze)
+    for group in freeze:
+        if group not in model.DOWNSTREAM:
+            raise ValueError(
+                f"unknown parameter group {group!r}; expected one of {', '.join(model.DOWNSTREAM)}"
+            )
     if model.config.precision != "f64":
         raise ValueError(
             f"finite-difference gradcheck needs precision f64, got {model.config.precision}"
@@ -94,12 +95,12 @@ def finite_difference_check(
                 flat_grad = analytic_grads[id(node)].reshape(-1)
                 for k in range(flat_value.size):
                     original = flat_value[k]
-                    flat_value[k] = original + step
+                    flat_value[k] = original + STEP
                     plus = staged_sum_loss(model, x, cached, group)
-                    flat_value[k] = original - step
+                    flat_value[k] = original - STEP
                     minus = staged_sum_loss(model, x, cached, group)
                     flat_value[k] = original
-                    numeric = (plus - minus) / (2.0 * step)
+                    numeric = (plus - minus) / (2.0 * STEP)
                     err = relative_error(float(flat_grad[k]), numeric)
                     if err > worst_err:
                         worst_err, worst_param = err, f"{name}[{k}]"

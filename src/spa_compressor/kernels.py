@@ -101,8 +101,6 @@ class AttentionParams:
 
 
 def attention_params(dim: int, heads: int, rng: np.random.Generator, dtype=np.float64) -> AttentionParams:
-    if dim % heads != 0:
-        raise ValueError(f"head count {heads} must divide model dim {dim}")
     bound = 1.0 / np.sqrt(dim)
     weights = [_param(rng, (dim, dim), bound, dtype) for _ in range(4)]
     biases = [_param(rng, (dim,), bound, dtype) for _ in range(4)]

@@ -40,6 +40,8 @@ class SyntheticVideoSpec:
                 f"{self.n_frames} frames {self.frame_step:g}s apart end past "
                 f"the {MAX_TIME_SECONDS:.0f}s timestamp limit"
             )
+        if self.seed < 0:
+            raise ValueError(f"video seed must be non-negative, got {self.seed}")
 
 
 def generate(spec: SyntheticVideoSpec) -> tuple[list[Frame], list[AsrSentence]]:

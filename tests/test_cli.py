@@ -53,7 +53,7 @@ class TestRatioCommand:
         assert out == "" and err == "error: ratio needs either --grid or both --s and --e\n"
 
     def test_malformed_grid_is_usage_error(self, capsys):
-        for grid in ("64;32", "64x32x8", "1,2x", "x", "", "1,ax2"):
+        for grid in ("64;32", "64x32x8", "1,2x", "x", "", "1,ax2", "64×32"):
             assert run_cli("ratio", "--grid", grid) == 2, grid
             out, err = capsys.readouterr()
             assert out == "" and err == f"error: bad --grid {grid!r}; expected 's1,s2x e1,e2' syntax\n"
@@ -79,20 +79,21 @@ class TestRatioCommand:
 @pytest.mark.parametrize(
     "flags, message",
     [
-        (["--step", "nan"], "frame step must be finite and positive"),
-        (["--step", "inf"], "frame step must be finite and positive"),
-        (["--step", "nan", "--sentences", "0"], "frame step must be finite and positive"),
-        (["--step", "0"], "frame step must be finite and positive"),
-        (["--step", "1e300"], "timestamp limit"),
-        (["--step", "400000"], "timestamp limit"),
-        (["--d", "0"], "must be >= 1"),
-        (["--l-v", "0"], "must be >= 1"),
-        (["--sentences", "-1"], "sentence count cannot be negative"),
-        (["--l-s-min", "5", "--l-s-max", "4"], "1 <= min <= max"),
+        (["generate", "--step", "nan"], "frame step must be finite and positive"),
+        (["generate", "--step", "inf"], "frame step must be finite and positive"),
+        (["generate", "--step", "nan", "--sentences", "0"], "frame step must be finite and positive"),
+        (["generate", "--step", "0"], "frame step must be finite and positive"),
+        (["generate", "--step", "1e300"], "timestamp limit"),
+        (["generate", "--step", "400000"], "timestamp limit"),
+        (["generate", "--d", "0"], "must be >= 1"),
+        (["generate", "--l-v", "0"], "must be >= 1"),
+        (["generate", "--sentences", "-1"], "sentence count cannot be negative"),
+        (["generate", "--l-s-min", "5", "--l-s-max", "4"], "1 <= min <= max"),
+        (["--seed", "-1", "generate"], "video seed must be non-negative, got -1"),
     ],
 )
 def test_generate_rejects_a_video_that_run_cannot_read(tmp_path, capsys, flags, message):
-    assert run_cli("generate", "--out", str(tmp_path / "video"), *flags) == 1
+    assert run_cli(*flags, "--out", str(tmp_path / "video")) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert err.count("\n") == 1 and "Traceback" not in err
@@ -298,9 +299,13 @@ def test_malformed_video_is_one_error_line(tmp_path, capsys, corrupt, fragments)
         ("golden", GOLDEN_CASE + "video_frames = 0\n", "[case:toy]: need at least one frame"),
         ("golden", COMPRESSOR_INI, "no [case:*] sections"),
         ("run", COMPRESSOR_INI + "precision = f16\n", "[compressor]: precision must be one of"),
+        ("run", COMPRESSOR_INI + "seed = -1\n", "[compressor]: seed must be non-negative, got -1"),
+        ("golden", GOLDEN_CASE.replace("video_seed = 1", "video_seed = -2") + "video_frames = 2\n",
+         "[case:toy]: video seed must be non-negative, got -2"),
     ],
     ids=["missing-key", "bad-int", "no-header", "no-section", "unknown-key",
-         "golden-missing-video-key", "golden-bad-video", "golden-no-case", "bad-precision"],
+         "golden-missing-video-key", "golden-bad-video", "golden-no-case", "bad-precision",
+         "negative-seed", "golden-negative-video-seed"],
 )
 def test_malformed_ini_is_one_error_line(tmp_path, capsys, command, text, named):
     path = tmp_path / "bad.ini"
@@ -352,20 +357,6 @@ class TestGradcheckCommand:
         assert err.startswith("error: ")
         assert "f32" in err
 
-    def test_non_positive_tolerance_is_usage_error(self, capsys):
-        assert run_cli("gradcheck", *TINY_FLAGS, "--tolerance", "0") == 2
-
-    @pytest.mark.parametrize(
-        "flag, value",
-        [("--step", "0"), ("--step", "-1e-5"), ("--step", "nan"), ("--step", "inf"),
-         ("--tolerance", "-1"), ("--tolerance", "nan"), ("--tolerance", "inf")],
-    )
-    def test_step_and_tolerance_must_be_finite_and_positive(self, capsys, flag, value):
-        assert run_cli("gradcheck", *TINY_FLAGS, f"{flag}={value}") == 2
-        captured = capsys.readouterr()
-        assert captured.err == f"error: {flag} must be finite and positive, got {float(value)}\n"
-        assert captured.out == ""
-
     @pytest.mark.parametrize("group", ["events", "Fusion", "time-encoder"])
     def test_unknown_freeze_group_is_usage_error(self, capsys, group):
         with pytest.raises(SystemExit) as exc:
@@ -405,6 +396,14 @@ class TestFitCommand:
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("lr", ["5", "5e3"])
+    def test_divergence_is_one_error_line(self, capsys, lr):
+        # numpy's overflow and invalid-value warnings are raised, not printed
+        assert run_cli("fit", "--steps", "40", "--lr", lr) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: loss diverged at step ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
 
 class TestGoldenCommand:
     def test_emit_then_verify(self, tmp_path, capsys):
@@ -418,6 +417,28 @@ class TestGoldenCommand:
     def test_verify_without_files_fails(self, tmp_path, capsys):
         assert run_cli("golden", "verify", "--manifest", str(GOLDEN_MANIFEST),
                        "--dir", str(tmp_path)) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["gradcheck", "--tolerance", "1"], ["gradcheck", "--step", "1e-3"],
+     ["gradcheck", "--video-seed", "1"], ["fit", "--video-seed", "1"]],
+)
+def test_step_tolerance_and_video_seed_are_not_options(capsys, argv):
+    # the check's step and tolerance are its contract, and the video comes
+    # from the model seed: a script that tried to set them stops
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "unrecognized arguments" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("command", [["run", "--manifest", "v.manifest", "--out", "o.spat"], ["gradcheck"]])
+def test_negative_seed_is_one_error_line(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("--seed", "-1", *command) == 1
+    assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
 
 
 def test_unknown_subcommand_is_usage_error():

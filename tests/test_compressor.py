@@ -375,7 +375,7 @@ def mse_gradients(toy_video, mode, precision):
     the seeded toy model, as ``fitting.fit`` takes them."""
     frames, sentences = toy_video
     model = SpaCompressor(toy_config(dim=8, vision_tokens_per_frame=2, mode=mode, precision=precision))
-    target = make_teacher_target(model, frames, sentences, seed=5)
+    target = make_teacher_target(model, frames, sentences)
     diff = model.forward(frames, sentences).flattened - Node(target)
     grads = ad.backward(ad.reduce_mean(diff * diff))
     return {

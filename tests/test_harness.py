@@ -68,7 +68,7 @@ class TestGradcheck:
         reports = finite_difference_check(model, frames, sentences)
         assert {r.name for r in reports} == {"fusion", "scene", "event", "time_encoder"}
         for r in reports:
-            assert r.passed(1e-4), f"{r.name}: {r.max_rel_err} at {r.worst_param}"
+            assert r.passed(), f"{r.name}: {r.max_rel_err} at {r.worst_param}"
 
     def test_frozen_group_is_flagged_without_gradient_flow(self):
         frames, sentences = generate(SyntheticVideoSpec(**TINY_VIDEO))
@@ -93,15 +93,7 @@ class TestGradcheck:
         frames, sentences = generate(SyntheticVideoSpec(**TINY_VIDEO))
         model = SpaCompressor(CompressorConfig(**TINY_CONFIG))
         reports = finite_difference_check(model, frames, sentences)
-        assert any(not r.passed(1e-4) for r in reports)
-
-
-    @pytest.mark.parametrize("step", [0.0, -1e-5, float("nan"), float("inf")])
-    def test_step_must_be_finite_and_positive(self, step):
-        frames, sentences = generate(SyntheticVideoSpec(**TINY_VIDEO))
-        model = SpaCompressor(CompressorConfig(**TINY_CONFIG))
-        with pytest.raises(ValueError, match="step must be finite and positive"):
-            finite_difference_check(model, frames, sentences, step=step)
+        assert any(not r.passed() for r in reports)
 
     @pytest.mark.parametrize("freeze", [("events",), ("fusion", "timestamps")])
     def test_unknown_freeze_group_is_rejected(self, freeze):
@@ -147,53 +139,26 @@ class TestFit:
         losses = fit(model, frames, sentences, FitConfig(steps=5, learning_rate=0.0))
         assert len(set(losses)) == 1
 
-    def test_self_target_keeps_loss_at_zero(self):
-        frames, sentences = generate(SyntheticVideoSpec(**TINY_VIDEO))
-        model = SpaCompressor(CompressorConfig(**TINY_CONFIG))
-        target = model.forward(frames, sentences).flattened.value
-        losses = fit(model, frames, sentences, FitConfig(steps=5, learning_rate=0.05), target=target)
-        assert losses[0] == 0.0
-        assert max(losses) <= 1e-10
-
     def test_toy_loop_halves_the_initial_loss(self):
         frames, sentences = generate(SyntheticVideoSpec(**TOY_VIDEO))
         model = SpaCompressor(CompressorConfig(**TOY_CONFIG))
-        losses = fit(model, frames, sentences, FitConfig(steps=200, learning_rate=0.05, seed=0))
+        losses = fit(model, frames, sentences, FitConfig(steps=200, learning_rate=0.05))
         assert losses[-1] <= 0.5 * losses[0]
 
-    def test_inputs_and_frozen_groups_stay_byte_identical(self):
+    def test_inputs_stay_byte_identical_and_every_group_trains(self):
         frames, sentences = generate(SyntheticVideoSpec(**TINY_VIDEO))
         model = SpaCompressor(CompressorConfig(**TINY_CONFIG))
         input_digest = [f.vision_tokens.tobytes() for f in frames] + [
             s.tokens.tobytes() for s in sentences
         ]
-        frozen_digest = {
-            name: node.value.tobytes()
-            for name, node in model.parameter_groups()["time_encoder"]
-        }
-        fit(model, frames, sentences, FitConfig(steps=10, learning_rate=0.05), freeze=("time_encoder",))
+        fit(model, frames, sentences, FitConfig(steps=10, learning_rate=0.05))
         assert input_digest == [f.vision_tokens.tobytes() for f in frames] + [
             s.tokens.tobytes() for s in sentences
         ]
-        for name, node in model.parameter_groups()["time_encoder"]:
-            assert node.value.tobytes() == frozen_digest[name], name
-        # unfrozen groups did move
-        assert any(
-            node.value.tobytes() != digest
-            for (name, node), digest in zip(
-                model.parameter_groups()["fusion"],
-                [n.value.tobytes() for _, n in SpaCompressor(CompressorConfig(**TINY_CONFIG)).parameter_groups()["fusion"]],
-            )
-        )
-
-    @pytest.mark.parametrize("freeze", [("events",), ("scene", "time-encoder")])
-    def test_unknown_freeze_group_is_rejected(self, freeze):
-        frames, sentences = generate(SyntheticVideoSpec(**TINY_VIDEO))
-        model = SpaCompressor(CompressorConfig(**TINY_CONFIG))
-        before = [node.value.copy() for _, node in model.parameters()]
-        with pytest.raises(ValueError, match=f"unknown parameter group {freeze[-1]!r}"):
-            fit(model, frames, sentences, FitConfig(steps=3), freeze=freeze)
-        assert all(np.array_equal(a, node.value) for a, (_, node) in zip(before, model.parameters()))
+        initial = SpaCompressor(CompressorConfig(**TINY_CONFIG)).parameter_groups()
+        for group, named in model.parameter_groups().items():
+            pairs = zip(named, initial[group])
+            assert any(not np.array_equal(a.value, b.value) for (_, a), (_, b) in pairs), group
 
     @pytest.mark.parametrize("lr", [float("nan"), float("inf"), -float("inf"), -0.05])
     def test_learning_rate_must_be_finite_and_non_negative(self, lr):
@@ -205,7 +170,6 @@ class TestFit:
         with pytest.raises(ValueError, match="need at least one step"):
             FitConfig(steps=steps)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_reports_step_index(self):
         frames, sentences = generate(SyntheticVideoSpec(**TINY_VIDEO))
         model = SpaCompressor(CompressorConfig(**TINY_CONFIG))
