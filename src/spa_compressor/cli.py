@@ -16,8 +16,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import os
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import analytics, golden
 from . import autodiff as ad
@@ -59,6 +62,7 @@ def _video_spec(args, config: CompressorConfig) -> SyntheticVideoSpec:
 
 
 def cmd_ratio(args) -> int:
+    values = [("--n-avg", args.n_avg), ("--dv", args.dv)]
     if args.grid is not None:
         if args.s is not None or args.e is not None:
             print("error: --grid cannot be combined with --s or --e", file=sys.stderr)
@@ -72,13 +76,21 @@ def cmd_ratio(args) -> int:
         if not (scene_grid and event_grid):
             print(f"error: bad --grid {args.grid!r}; expected 's1,s2x e1,e2' syntax", file=sys.stderr)
             return 2
+        values += [("--grid", v) for v in scene_grid + event_grid]
+    elif args.s is None or args.e is None:
+        print("error: ratio needs either --grid or both --s and --e", file=sys.stderr)
+        return 2
+    else:
+        values += [("--s", args.s), ("--e", args.e)]
+    for flag, value in values:
+        if not (math.isfinite(value) and value > 0):
+            print(f"error: {flag} must be finite and strictly positive, got {value:g}", file=sys.stderr)
+            return 1
+    if args.grid is not None:
         reports = analytics.sweep(scene_grid, event_grid, args.n_avg, args.dv)
         out = analytics.format_csv(reports) if args.format == "csv" else analytics.format_table(reports)
         print(out)
         return 0
-    if args.s is None or args.e is None:
-        print("error: ratio needs either --grid or both --s and --e", file=sys.stderr)
-        return 2
     report = analytics.compression_ratio(analytics.RatioInput(args.s, args.e, args.n_avg, args.dv))
     print(f"ratio {report.display_ratio()}")
     print(f"reduction {report.display_reduction()}%")
@@ -88,7 +100,21 @@ def cmd_ratio(args) -> int:
     return 0
 
 
+def _check_writable(path: Path, flag: str) -> None:
+    """Raise, naming ``flag``, unless a file can be written at ``path``."""
+    if path.is_dir():
+        raise ValueError(f"{flag} {path} is a directory")
+    if not path.parent.is_dir():
+        raise ValueError(f"{flag} {path}: directory {path.parent} does not exist")
+    if not os.access(path if path.exists() else path.parent, os.W_OK):
+        raise ValueError(f"{flag} {path} is not writable")
+
+
 def cmd_run(args) -> int:
+    # both outputs are checked before any work, so a failed run writes neither
+    _check_writable(args.out, "--out")
+    if args.report:
+        _check_writable(args.report, "--report")
     config = _model_config(args)
     frames, sentences = read_video(args.manifest)
     model = SpaCompressor(config)
@@ -160,6 +186,10 @@ def cmd_fit(args) -> int:
         print(f"error: --lr must be finite and non-negative, got {args.lr}", file=sys.stderr)
         return 2
     config = _model_config(args)
+    largest = float(np.finfo(config.dtype).max)
+    if args.lr > largest:
+        print(f"error: --lr {args.lr:g} exceeds the largest {config.precision} value, {largest:g}", file=sys.stderr)
+        return 2
     frames, sentences = generate(_video_spec(args, config))
     model = SpaCompressor(config)
     losses = fit(model, frames, sentences, FitConfig(args.steps, args.lr))

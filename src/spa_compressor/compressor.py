@@ -222,6 +222,15 @@ class StageOutputs:
     timestamps: list[Node]  # one (D,) per frame
 
 
+def _query_bank(bank: Node, shape: tuple) -> Node:
+    """The (tokens, D) query bank ``bank`` broadcast to ``shape``, batch
+    first.  A bank of P stacked probe values, (P * tokens, D), gives batch
+    entry i its probe i (the value-only probe path of the gradient check)."""
+    if bank.shape[0] != shape[-2]:
+        return ad.reshape(bank, shape)
+    return ad.broadcast_to(bank, shape)
+
+
 # the parameter-dependent stages of SpaCompressor.run_stages, in pipeline order
 STAGES = ("fusion", "scene", "events", "times")
 
@@ -320,8 +329,8 @@ class SpaCompressor:
     def aggregate_scene(self, fused_asr: Node, vision_flat: Node) -> Node:
         """Distill the full token context into S scene tokens (B, S, D)."""
         context = ad.concat([fused_asr, vision_flat], axis=1)
-        queries = ad.broadcast_to(self.scene.queries, (fused_asr.shape[0], *self.scene.queries.shape))
-        h = layer_norm(queries, self.scene.ln_init)
+        shape = (fused_asr.shape[0], self.config.scene_tokens, self.config.dim)
+        h = layer_norm(_query_bank(self.scene.queries, shape), self.scene.ln_init)
         for layer in self.scene.layers:
             h = h + cross_attention(layer_norm(h, layer.ln_attn), context, layer.attn)
             h = h + ffn(layer_norm(h, layer.ln_ffn), layer.ffn)
@@ -339,10 +348,10 @@ class SpaCompressor:
         one block is decoded and broadcast.
         """
         batch, n_frames, _, d = vision.shape
-        e = self.events.queries.shape[0]
+        e = self.config.event_tokens
         shared = ad.concat([fused_asr, scene], axis=1)
         own = layer_norm(vision, self.events.ln_vision) if self.config.mode == MODE_FRAME else None
-        h = layer_norm(ad.broadcast_to(self.events.queries, (batch, 1, e, d)), self.events.ln_init)
+        h = layer_norm(_query_bank(self.events.queries, (batch, 1, e, d)), self.events.ln_init)
         for layer in self.events.layers:
             x = ad.reshape(layer_norm(h, layer.ln_self), (-1, e, d))  # (B*Nh, E, D)
             h = h + ad.reshape(self_attention(x, layer.self_attn), h.shape)

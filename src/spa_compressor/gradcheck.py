@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from .autodiff import Node
 from .compressor import PreparedInput, SpaCompressor, StageOutputs
 from .sequence import AsrSentence, Frame
 
@@ -18,6 +19,10 @@ TOLERANCE = 1e-4
 # the comparison degrades to scaled absolute error, which keeps benign
 # structural zeros from dividing by noise
 REL_ERR_FLOOR = 1e-4
+# scalars checked per probe-batched staged forward, whose batch holds
+# their +STEP and -STEP probes
+CHUNK = 16
+PROBES = 2 * CHUNK
 
 
 @dataclass
@@ -44,6 +49,73 @@ def staged_sum_loss(model: SpaCompressor, x: PreparedInput, cached: StageOutputs
     return float(model.assemble(out.scene, out.events, out.timestamps).flattened.value.sum())
 
 
+def scalar_losses(model: SpaCompressor, x: PreparedInput, cached: StageOutputs, group: str) -> np.ndarray:
+    """The (+STEP, -STEP) losses of every scalar of ``group``, one staged
+    forward per probe; each scalar is restored, also if a stage raises."""
+    losses = []
+    for _, node in model.parameter_groups()[group]:
+        flat = node.value.reshape(-1)
+        for k in range(flat.size):
+            original = flat[k]
+            try:
+                flat[k] = original + STEP
+                plus = staged_sum_loss(model, x, cached, group)
+                flat[k] = original - STEP
+                losses.append((plus, staged_sum_loss(model, x, cached, group)))
+            finally:
+                flat[k] = original
+    return np.array(losses)
+
+
+def batched_losses(model: SpaCompressor, x: PreparedInput, cached: StageOutputs, group: str) -> np.ndarray:
+    """The (+STEP, -STEP) losses of every scalar of ``group``, CHUNK
+    scalars per staged forward at batch PROBES.
+
+    Every parameter of the group holds PROBES values, stacked on its
+    leading axis: row 2j holds scalar j of the chunk at +STEP, row 2j + 1
+    at -STEP, and every other row the original value.  The cached stage
+    outputs and the prepared inputs are read-only views broadcast to batch
+    PROBES, so batch entry i meets probe i in ``kernels._probe_split`` and
+    in the query banks.  Each probe's loss is its batch entry's sum, the
+    same float computation as :func:`staged_sum_loss` with that one
+    perturbation.  The original arrays are put back when the sweep ends,
+    also if a stage raises.
+    """
+
+    def batch(node: Node) -> Node:
+        return Node(np.broadcast_to(node.value, (PROBES,) + node.shape[1:]))
+
+    bx = PreparedInput(x.frames, batch(x.asr), batch(x.vision), x.sequence)
+    bcached = StageOutputs(
+        batch(cached.fused), batch(cached.vision_flat), batch(cached.scene), batch(cached.events), cached.timestamps
+    )
+    nodes = [node for _, node in model.parameter_groups()[group]]
+    originals = [node.value for node in nodes]
+    probes = [np.repeat(value[None], PROBES, axis=0) for value in originals]
+    rows = [probe.reshape(PROBES, -1) for probe in probes]  # views: (probe, flat index)
+    scalars = [(i, k) for i, value in enumerate(originals) for k in range(value.size)]
+    losses = np.empty((len(scalars), 2))
+    try:
+        for node, probe in zip(nodes, probes):
+            node.value = probe.reshape((-1,) + probe.shape[2:])
+        for start in range(0, len(scalars), CHUNK):
+            chunk = scalars[start : start + CHUNK]
+            for j, (i, k) in enumerate(chunk):
+                original = originals[i].flat[k]
+                rows[i][2 * j, k] = original + STEP
+                rows[i][2 * j + 1, k] = original - STEP
+            out = model.run_stages(bx, model.DOWNSTREAM[group], bcached)
+            flat = model.assemble(out.scene, out.events, out.timestamps).flattened.value
+            sums = flat.reshape(PROBES, -1).sum(axis=1).reshape(CHUNK, 2)
+            losses[start : start + len(chunk)] = sums[: len(chunk)]
+            for j, (i, k) in enumerate(chunk):
+                rows[i][2 * j : 2 * j + 2, k] = originals[i].flat[k]
+    finally:
+        for node, value in zip(nodes, originals):
+            node.value = value
+    return losses
+
+
 def finite_difference_check(
     model: SpaCompressor,
     frames: list[Frame],
@@ -56,9 +128,13 @@ def finite_difference_check(
     Frozen groups are skipped and flagged; they receive no gradient flow.
     Each finite-difference loss reruns, value-only, only the stages
     downstream of the perturbed group and reuses the others' outputs, so it
-    is the same float computation as a full forward.  Float64 models only:
-    at ``STEP``, float32 round-off swamps the difference.  An unknown group
-    in ``freeze`` is a ``ValueError``.
+    is the same float computation as a full forward.  The fusion, scene
+    and event groups run CHUNK scalars' probes per staged forward
+    (:func:`batched_losses`); the probe axis exists only on this
+    value-only path.  The time encoder's GRU takes no probe batch, so its
+    group runs one staged forward per probe (:func:`scalar_losses`).
+    Float64 models only: at ``STEP``, float32 round-off swamps the
+    difference.  An unknown group in ``freeze`` is a ``ValueError``.
     """
     for group in freeze:
         if group not in model.DOWNSTREAM:
@@ -89,21 +165,15 @@ def finite_difference_check(
                 n = sum(node.value.size for _, node in named)
                 reports.append(GroupReport(group, n, 0.0, "(frozen)", frozen=True))
                 continue
-            worst_err, worst_param, count = 0.0, "", 0
-            for name, node in named:
-                flat_value = node.value.reshape(-1)
-                flat_grad = analytic_grads[id(node)].reshape(-1)
-                for k in range(flat_value.size):
-                    original = flat_value[k]
-                    flat_value[k] = original + STEP
-                    plus = staged_sum_loss(model, x, cached, group)
-                    flat_value[k] = original - STEP
-                    minus = staged_sum_loss(model, x, cached, group)
-                    flat_value[k] = original
-                    numeric = (plus - minus) / (2.0 * STEP)
-                    err = relative_error(float(flat_grad[k]), numeric)
-                    if err > worst_err:
-                        worst_err, worst_param = err, f"{name}[{k}]"
-                    count += 1
-            reports.append(GroupReport(group, count, worst_err, worst_param))
+            sweep = scalar_losses if "times" in model.DOWNSTREAM[group] else batched_losses
+            losses = sweep(model, x, cached, group)
+            labels = [f"{name}[{k}]" for name, node in named for k in range(node.value.size)]
+            analytic = np.concatenate([analytic_grads[id(node)].reshape(-1) for _, node in named])
+            worst_err, worst_param = 0.0, ""
+            for label, grad, (plus, minus) in zip(labels, analytic, losses):
+                numeric = (float(plus) - float(minus)) / (2.0 * STEP)
+                err = relative_error(float(grad), numeric)
+                if err > worst_err:
+                    worst_err, worst_param = err, label
+            reports.append(GroupReport(group, len(labels), worst_err, worst_param))
     return reports

@@ -11,7 +11,10 @@ into a context shared by every query row and, for the event stage's
 frame-conditioned cross-attention, each frame's own tokens.  The core
 scores the two key blocks separately and combines them by their row maxima
 and sums, so the shared block is never tiled over frames.  The attention
-projections and the FFN are ``matmul``/``add``/``gelu`` nodes.
+projections and the FFN are ``matmul``/``add``/``gelu`` nodes.  The
+projections and layer norm also take parameters that stack P probe values
+of the finite-difference sweep, one per part of the batch; that path is
+value-only.
 Weights are initialized uniformly in [-1/sqrt(D), 1/sqrt(D)] from a seeded
 generator, which makes every run bit-reproducible.
 """
@@ -58,6 +61,8 @@ def layer_norm(x: Node, p: LayerNormParams) -> Node:
 
     One node over ``(x, scale, shift)``.  The mean and variance are sums
     times a ``1/D`` cast to the dtype, as ``reduce_mean`` computes them.
+    A ``scale`` and ``shift`` of P*D entries stack P probe values (see
+    :func:`_probe_split`); that path is value-only and returns a leaf.
     """
     check_finite(x.value, "layer_norm input")
     xv, scale, shift = x.value, p.scale.value, p.shift.value
@@ -66,6 +71,10 @@ def layer_norm(x: Node, p: LayerNormParams) -> Node:
     variance = (centered * centered).sum(axis=-1, keepdims=True) * inv_dim
     inv_std = (variance + np.asarray(LAYER_NORM_EPS, dtype=xv.dtype)) ** -0.5
     normalized = centered * inv_std
+    if scale.shape != xv.shape[-1:]:  # stacked probe values: the value-only probe path
+        parts, scales = _probe_split(normalized, scale, xv.shape[-1:])
+        shifts = _probe_split(normalized, shift, xv.shape[-1:])[1]
+        return Node((parts * scales + shifts).reshape(xv.shape))
     out = normalized * scale + shift
     if not ad.recording():
         return Node(out)
@@ -107,8 +116,32 @@ def attention_params(dim: int, heads: int, rng: np.random.Generator, dtype=np.fl
     return AttentionParams(heads, *weights, *biases)
 
 
+def _probe_split(x: np.ndarray, stacked: np.ndarray, shape: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The probe path of the finite-difference sweep, value-only.
+
+    ``stacked`` holds P probe values of a parameter of shape ``shape``
+    along its leading axis, (P * shape[0], *shape[1:]), and the leading
+    axis of the activation ``x`` holds P equal parts, part i for probe i.
+    Returns ``x`` split to (P, part, ...) and the probes as
+    (P, 1, ..., *shape), aligned to it for broadcasting.  Each part then
+    meets the same numpy operations, on the same shapes, as it would with
+    the unstacked parameter, so its values are bit-identical.
+    """
+    p = stacked.shape[0] // shape[0]
+    parts = x.reshape((p, x.shape[0] // p) + x.shape[1:])
+    return parts, stacked.reshape((p,) + (1,) * (parts.ndim - 1 - len(shape)) + shape)
+
+
 def _project(x: Node, w: Node, b: Node) -> Node:
-    return x @ w + b
+    """``x @ w + b`` as ``matmul`` and ``add`` nodes.  A ``w`` with P times
+    x's width in rows, and a ``b`` of P*n entries, stack P probe values
+    (see :func:`_probe_split`); that path is value-only and returns a leaf."""
+    k, n = x.shape[-1], w.shape[-1]
+    if w.shape[0] == k:
+        return x @ w + b
+    parts, ws = _probe_split(x.value, w.value, (k, n))
+    bs = _probe_split(x.value, b.value, (n,))[1]
+    return Node((parts @ ws + bs).reshape(x.shape[:-1] + (n,)))
 
 
 # head split and merge transposes by the rank of the split array
@@ -276,4 +309,4 @@ def ffn_params(dim: int, rng: np.random.Generator, dtype=np.float64) -> FfnParam
 def ffn(x: Node, p: FfnParams) -> Node:
     """Position-wise feed-forward: affine, GELU, affine; keeps width D."""
     check_finite(x.value, "ffn input")
-    return ad.gelu(x @ p.w1 + p.b1) @ p.w2 + p.b2
+    return _project(ad.gelu(_project(x, p.w1, p.b1)), p.w2, p.b2)

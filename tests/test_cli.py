@@ -66,6 +66,13 @@ class TestRatioCommand:
     def test_non_positive_input_fails(self, capsys):
         assert run_cli("ratio", "--s", "0", "--e", "32") == 1
 
+    @pytest.mark.parametrize("flag, value", [("--n-avg", "0"), ("--s", "0"), ("--dv", "-1"), ("--e", "nan")])
+    def test_bad_input_names_its_flag(self, capsys, flag, value):
+        flags = {"--s": "64", "--e": "32", flag: value}
+        assert run_cli("ratio", *(token for pair in flags.items() for token in pair)) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {flag} must be finite and strictly positive, got {value}\n"
+
     @pytest.mark.parametrize(
         "flags",
         [["--grid", "1,infx2"], ["--s", "1e308", "--e", "1e308", "--n-avg", "1e308"]],
@@ -117,6 +124,19 @@ class TestGenerateAndRun:
         assert "scene block [0," in text
         assert "frame 0 block" in text
         assert "interleaved input length" in text
+
+    @pytest.mark.parametrize("flag", ["--out", "--report"])
+    def test_unwritable_output_fails_before_writing_anything(self, tmp_path, capsys, flag):
+        video_dir = tmp_path / "video"
+        assert run_cli("generate", "--out", str(video_dir), "--d", "8") == 0
+        capsys.readouterr()
+        paths = {"--out": tmp_path / "out.spat", "--report": tmp_path / "report.txt"}
+        paths[flag] = tmp_path / "nonexistent" / "dir" / "file"
+        assert run_cli("run", "--d", "8", "--l-v", "2", "--manifest", str(video_dir / "video.manifest"),
+                       "--out", str(paths["--out"]), "--report", str(paths["--report"])) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} {paths[flag]}: directory ") and err.count("\n") == 1
+        assert not (tmp_path / "out.spat").exists() and not (tmp_path / "report.txt").exists()
 
     def test_run_twice_same_seed_is_byte_identical(self, tmp_path):
         video_dir = tmp_path / "video"
@@ -394,6 +414,14 @@ class TestFitCommand:
         assert run_cli("fit", *TINY_FLAGS, "--steps", "3", *flags) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("lr", ["1e39", "1e200"])
+    def test_rate_float32_cannot_hold_is_usage_error(self, capsys, lr):
+        # before: "loss diverged at step 0: overflow encountered in cast", exit 1
+        assert run_cli("--precision", "f32", "fit", "--steps", "40", "--lr", lr) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --lr {float(lr):g} exceeds the largest f32 value, 3.40282e+38\n"
         assert captured.out == ""
 
     @pytest.mark.parametrize("lr", ["5", "5e3"])

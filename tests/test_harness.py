@@ -10,7 +10,13 @@ from spa_compressor.compressor import MODE_FRAME, MODE_GLOBAL, CompressorConfig,
 from spa_compressor.fitting import FitConfig, fit
 from spa_compressor.golden import emit, load_manifest, verify
 from spa_compressor.goldenio import read_tensor, write_tensor
-from spa_compressor.gradcheck import finite_difference_check, staged_sum_loss
+from spa_compressor.gradcheck import (
+    CHUNK,
+    STEP,
+    batched_losses,
+    finite_difference_check,
+    staged_sum_loss,
+)
 from spa_compressor.manifest import read_video, write_video
 from spa_compressor.sequence import validate_frames, validate_sentences
 from spa_compressor.synthetic import SyntheticVideoSpec, generate
@@ -93,7 +99,9 @@ class TestGradcheck:
         frames, sentences = generate(SyntheticVideoSpec(**TINY_VIDEO))
         model = SpaCompressor(CompressorConfig(**TINY_CONFIG))
         reports = finite_difference_check(model, frames, sentences)
-        assert any(not r.passed() for r in reports)
+        # GELU is in every FFN, so each probe-batched group must fail; the time
+        # encoder has none
+        assert [r.name for r in reports if not r.passed()] == ["fusion", "scene", "event"]
 
     @pytest.mark.parametrize("freeze", [("events",), ("fusion", "timestamps")])
     def test_unknown_freeze_group_is_rejected(self, freeze):
@@ -108,28 +116,99 @@ class TestGradcheck:
         with pytest.raises(ValueError, match="needs precision f64, got f32"):
             finite_difference_check(model, frames, sentences)
 
-    @pytest.mark.parametrize("mode", [MODE_FRAME, MODE_GLOBAL])
-    def test_staged_loss_equals_a_full_forward_bit_for_bit(self, mode):
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {**TOY_CONFIG, "mode": MODE_FRAME},
+            {**TOY_CONFIG, "mode": MODE_GLOBAL},
+            # layer 1's self-attention reads the (B, N, E, D) state folded to (B*N, E, D)
+            {**TOY_CONFIG, "mode": MODE_FRAME, "event_layers": 2},
+        ],
+        ids=[MODE_FRAME, MODE_GLOBAL, f"{MODE_FRAME}-2-event-layers"],
+    )
+    def test_staged_loss_equals_a_full_forward_bit_for_bit(self, config):
         # the sweep reruns only the stages downstream of the perturbed group;
-        # a stage missing from SpaCompressor.DOWNSTREAM would reuse a stale output
+        # a stage missing from SpaCompressor.DOWNSTREAM would reuse a stale
+        # output, and a probe row that leaked into another batch entry would
+        # change that entry's loss
         frames, sentences = generate(SyntheticVideoSpec(**TOY_VIDEO))
-        model = SpaCompressor(CompressorConfig(**{**TOY_CONFIG, "mode": mode}))
+        model = SpaCompressor(CompressorConfig(**config))
         x = model.prepare_input(frames, sentences)
+
+        def full_loss(node, k, delta):
+            flat = node.value.reshape(-1)
+            original = flat[k]
+            flat[k] = original + delta
+            try:
+                with autodiff.no_grad():
+                    return float(model.forward(frames, sentences).flattened.value.sum())
+            finally:
+                flat[k] = original
+
         with autodiff.no_grad():
             cached = model.run_stages(x)
         for group, named in model.parameter_groups().items():
-            for name, node in (named[0], named[len(named) // 2], named[-1]):
-                flat = node.value.reshape(-1)
-                for k in (0, flat.size - 1):
-                    original = flat[k]
-                    flat[k] = original + 1e-3
-                    try:
-                        full = float(model.forward(frames, sentences).flattened.value.sum())
-                        with autodiff.no_grad():
-                            staged = staged_sum_loss(model, x, cached, group)
-                    finally:
-                        flat[k] = original
-                    assert staged == full, f"{group}.{name}[{k}]: {staged!r} != {full!r}"
+            scalars = [(name, node, k) for name, node in named for k in range(node.value.size)]
+            if group == "time_encoder":  # the scalar path, one staged forward per probe
+                for name, node, k in (scalars[0], scalars[len(scalars) // 2], scalars[-1]):
+                    for delta in (STEP, -STEP):
+                        flat = node.value.reshape(-1)
+                        original = flat[k]
+                        flat[k] = original + delta
+                        try:
+                            with autodiff.no_grad():
+                                staged = staged_sum_loss(model, x, cached, group)
+                        finally:
+                            flat[k] = original
+                        assert staged == full_loss(node, k, delta), f"{group}.{name}[{k}]"
+                continue
+            with autodiff.no_grad():
+                losses = batched_losses(model, x, cached, group)
+            assert losses.shape == (len(scalars), 2)
+            # every row of two batched runs: the last chunk, which leaves rows
+            # at the original values, and one whose scalars span two tensors
+            last = (len(scalars) - 1) // CHUNK * CHUNK
+            spanning = next(
+                start for start in range(0, len(scalars), CHUNK)
+                if len({id(node) for _, node, _ in scalars[start : start + CHUNK]}) == 2
+            )
+            for start in sorted({spanning, last}):
+                for t in range(start, min(start + CHUNK, len(scalars))):
+                    name, node, k = scalars[t]
+                    for column, delta in enumerate((STEP, -STEP)):
+                        full = full_loss(node, k, delta)
+                        assert losses[t, column] == full, f"{group}.{name}[{k}]{delta:+}: {losses[t, column]!r} != {full!r}"
+
+    @pytest.mark.parametrize(
+        "group, stage", [("fusion", "extract_events"), ("event", "extract_events"), ("time_encoder", "encode_frame_times")]
+    )
+    def test_sweep_restores_every_parameter_byte_for_byte(self, monkeypatch, group, stage):
+        frames, sentences = generate(SyntheticVideoSpec(**TINY_VIDEO))
+        model = SpaCompressor(CompressorConfig(**TINY_CONFIG))
+        freeze = tuple(g for g in model.DOWNSTREAM if g != group)
+
+        before = [(node.value, node.value.tobytes()) for _, node in model.parameters()]
+
+        def assert_restored():
+            for (value, data), (name, node) in zip(before, model.parameters()):
+                assert node.value is value and node.value.tobytes() == data, name
+
+        finite_difference_check(model, frames, sentences, freeze=freeze)
+        assert_restored()
+        # a stage that raises in the middle of the sweep, while probe values are in place
+        calls, run = [0], getattr(model, stage)
+
+        def failing(*args):
+            calls[0] += 1
+            if calls[0] == 4:  # the analytic forward and the cached run come first
+                raise RuntimeError("stage failed")
+            return run(*args)
+
+        monkeypatch.setattr(model, stage, failing)
+        with pytest.raises(RuntimeError, match="stage failed"):
+            finite_difference_check(model, frames, sentences, freeze=freeze)
+        assert calls[0] == 4
+        assert_restored()
 
 
 class TestFit:
