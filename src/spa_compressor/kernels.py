@@ -73,8 +73,7 @@ def layer_norm(x: Node, p: LayerNormParams) -> Node:
     normalized = centered * inv_std
     if scale.shape != xv.shape[-1:]:  # stacked probe values: the value-only probe path
         parts, scales = _probe_split(normalized, scale, xv.shape[-1:])
-        shifts = _probe_split(normalized, shift, xv.shape[-1:])[1]
-        return Node((parts * scales + shifts).reshape(xv.shape))
+        return Node((parts * scales + shift.reshape(scales.shape)).reshape(xv.shape))
     out = normalized * scale + shift
     if not ad.recording():
         return Node(out)
@@ -140,8 +139,7 @@ def _project(x: Node, w: Node, b: Node) -> Node:
     if w.shape[0] == k:
         return x @ w + b
     parts, ws = _probe_split(x.value, w.value, (k, n))
-    bs = _probe_split(x.value, b.value, (n,))[1]
-    return Node((parts @ ws + bs).reshape(x.shape[:-1] + (n,)))
+    return Node((parts @ ws + b.value.reshape(ws.shape[:-2] + (1, n))).reshape(x.shape[:-1] + (n,)))
 
 
 # head split and merge transposes by the rank of the split array

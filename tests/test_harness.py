@@ -1,4 +1,5 @@
 import math
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -135,15 +136,19 @@ class TestGradcheck:
         model = SpaCompressor(CompressorConfig(**config))
         x = model.prepare_input(frames, sentences)
 
-        def full_loss(node, k, delta):
+        @contextmanager
+        def perturbed(node, k, delta):
             flat = node.value.reshape(-1)
             original = flat[k]
             flat[k] = original + delta
             try:
                 with autodiff.no_grad():
-                    return float(model.forward(frames, sentences).flattened.value.sum())
+                    yield
             finally:
                 flat[k] = original
+
+        def full_loss():
+            return float(model.forward(frames, sentences).flattened.value.sum())
 
         with autodiff.no_grad():
             cached = model.run_stages(x)
@@ -152,15 +157,8 @@ class TestGradcheck:
             if group == "time_encoder":  # the scalar path, one staged forward per probe
                 for name, node, k in (scalars[0], scalars[len(scalars) // 2], scalars[-1]):
                     for delta in (STEP, -STEP):
-                        flat = node.value.reshape(-1)
-                        original = flat[k]
-                        flat[k] = original + delta
-                        try:
-                            with autodiff.no_grad():
-                                staged = staged_sum_loss(model, x, cached, group)
-                        finally:
-                            flat[k] = original
-                        assert staged == full_loss(node, k, delta), f"{group}.{name}[{k}]"
+                        with perturbed(node, k, delta):
+                            assert staged_sum_loss(model, x, cached, group) == full_loss(), f"{group}.{name}[{k}]"
                 continue
             with autodiff.no_grad():
                 losses = batched_losses(model, x, cached, group)
@@ -176,7 +174,8 @@ class TestGradcheck:
                 for t in range(start, min(start + CHUNK, len(scalars))):
                     name, node, k = scalars[t]
                     for column, delta in enumerate((STEP, -STEP)):
-                        full = full_loss(node, k, delta)
+                        with perturbed(node, k, delta):
+                            full = full_loss()
                         assert losses[t, column] == full, f"{group}.{name}[{k}]{delta:+}: {losses[t, column]!r} != {full!r}"
 
     @pytest.mark.parametrize(
