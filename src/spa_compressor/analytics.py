@@ -70,7 +70,8 @@ class CompressionReport:
 
 def compression_ratio(inputs: RatioInput) -> CompressionReport:
     n = inputs.frames_per_sentence
-    ratio = (inputs.scene_tokens + n * inputs.event_tokens) / (n * inputs.visual_tokens_per_frame)
+    original = n * inputs.visual_tokens_per_frame  # 0.0 if the product underflows
+    ratio = (inputs.scene_tokens + n * inputs.event_tokens) / original if original else math.inf
     if not math.isfinite(ratio):
         raise ValueError(f"compression ratio is not finite for {inputs}")
     return CompressionReport(inputs=inputs, ratio=ratio)

@@ -29,7 +29,7 @@ from .fitting import FitConfig, fit
 from .goldenio import write_tensor
 from .gradcheck import finite_difference_check
 from .manifest import read_video, write_video
-from .synthetic import SyntheticVideoSpec, generate
+from .synthetic import SyntheticVideoSpec, VideoSpecError, generate
 
 # toy defaults sized so gradcheck and fit finish in seconds
 TOY = dict(dim=8, heads=2, scene_tokens=2, event_tokens=2, scene_layers=1, event_layers=1, vision_tokens_per_frame=2)
@@ -51,14 +51,18 @@ def _model_config(args) -> CompressorConfig:
     return dataclasses.replace(config, **{k: v for k, v in given.items() if v is not None})
 
 
-def _video_spec(args, config: CompressorConfig) -> SyntheticVideoSpec:
-    return SyntheticVideoSpec(
-        n_frames=args.frames,
-        n_sentences=args.sentences,
-        vision_tokens_per_frame=config.vision_tokens_per_frame,
-        dim=config.dim,
-        seed=config.seed,
-    )
+# SyntheticVideoSpec field -> the dest of the flag that sets it
+VIDEO_FLAGS = dict(n_frames="frames", n_sentences="sentences", frame_step="step", sentence_tokens_min="l_s_min",
+                   sentence_tokens_max="l_s_max", vision_tokens_per_frame="l_v", dim="d", seed="seed")
+
+
+def _video(args, **spec):
+    """The video of ``--frames``, ``--sentences`` and ``spec``; an error names the flags of ``args`` it read."""
+    try:
+        return generate(SyntheticVideoSpec(args.frames, args.sentences, **spec))
+    except VideoSpecError as exc:
+        dests = [VIDEO_FLAGS[field] for field in exc.fields if hasattr(args, VIDEO_FLAGS[field])]
+        raise ValueError(f"{', '.join('--' + d.replace('_', '-') for d in dests)}: {exc}") from None
 
 
 def cmd_ratio(args) -> int:
@@ -86,12 +90,18 @@ def cmd_ratio(args) -> int:
         if not (math.isfinite(value) and value > 0):
             print(f"error: {flag} must be finite and strictly positive, got {value:g}", file=sys.stderr)
             return 1
+    try:
+        if args.grid is not None:
+            reports = analytics.sweep(scene_grid, event_grid, args.n_avg, args.dv)
+        else:
+            report = analytics.compression_ratio(analytics.RatioInput(args.s, args.e, args.n_avg, args.dv))
+    except ValueError:  # every input is finite and positive, so the ratio over- or underflowed
+        given = f"--grid {args.grid}" if args.grid is not None else f"--s {args.s:g} --e {args.e:g}"
+        print(f"error: ratio is not finite for {given} --n-avg {args.n_avg:g} --dv {args.dv:g}", file=sys.stderr)
+        return 1
     if args.grid is not None:
-        reports = analytics.sweep(scene_grid, event_grid, args.n_avg, args.dv)
-        out = analytics.format_csv(reports) if args.format == "csv" else analytics.format_table(reports)
-        print(out)
+        print(analytics.format_csv(reports) if args.format == "csv" else analytics.format_table(reports))
         return 0
-    report = analytics.compression_ratio(analytics.RatioInput(args.s, args.e, args.n_avg, args.dv))
     print(f"ratio {report.display_ratio()}")
     print(f"reduction {report.display_reduction()}%")
     note = analytics.published_note(report)
@@ -145,17 +155,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    spec = SyntheticVideoSpec(
-        n_frames=args.frames,
-        n_sentences=args.sentences,
-        vision_tokens_per_frame=args.l_v,
-        dim=args.d,
-        sentence_tokens_min=args.l_s_min,
-        sentence_tokens_max=args.l_s_max,
-        frame_step=args.step,
-        seed=args.seed or 0,
-    )
-    frames, sentences = generate(spec)
+    frames, sentences = _video(args, vision_tokens_per_frame=args.l_v, dim=args.d, sentence_tokens_min=args.l_s_min,
+                               sentence_tokens_max=args.l_s_max, frame_step=args.step, seed=args.seed or 0)
     path = write_video(args.out, frames, sentences)
     print(f"wrote {path}")
     return 0
@@ -163,7 +164,9 @@ def cmd_generate(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     config = _model_config(args)
-    frames, sentences = generate(_video_spec(args, config))
+    frames, sentences = _video(
+        args, vision_tokens_per_frame=config.vision_tokens_per_frame, dim=config.dim, seed=config.seed
+    )
     model = SpaCompressor(config)
     reports = finite_difference_check(model, frames, sentences, freeze=tuple(args.freeze))
     failed = False
@@ -190,7 +193,9 @@ def cmd_fit(args) -> int:
     if args.lr > largest:
         print(f"error: --lr {args.lr:g} exceeds the largest {config.precision} value, {largest:g}", file=sys.stderr)
         return 2
-    frames, sentences = generate(_video_spec(args, config))
+    frames, sentences = _video(
+        args, vision_tokens_per_frame=config.vision_tokens_per_frame, dim=config.dim, seed=config.seed
+    )
     model = SpaCompressor(config)
     losses = fit(model, frames, sentences, FitConfig(args.steps, args.lr))
     if args.out:

@@ -219,7 +219,7 @@ class StageOutputs:
     vision_flat: Node  # fusion: (B, N*L_v, D)
     scene: Node  # (B, S, D)
     events: Node  # (B, N, E, D)
-    timestamps: list[Node]  # one (D,) per frame
+    timestamps: list[Node]  # one per frame: (D,), or (P, D) on the probe path
 
 
 def _query_bank(bank: Node, shape: tuple) -> Node:
@@ -361,10 +361,11 @@ class SpaCompressor:
 
     def assemble(self, scene: Node, events: Node, timestamps: list[Node]) -> ForwardResult:
         """Interleave timestamp tokens with event blocks and prepend scene;
-        ``timestamps`` holds one (D,) node per frame, and there is at least
-        one frame."""
+        ``timestamps`` holds one node per frame, and there is at least one
+        frame.  A (D,) stamp serves every batch entry; a (P, D) stamp of
+        stacked probe values gives batch entry i its row i."""
         batch, n_frames, n_events, d = events.shape
-        stamps = ad.reshape(ad.concat(timestamps, axis=0), (1, n_frames, 1, d))
+        stamps = ad.reshape(ad.concat(timestamps, axis=-1), (-1, n_frames, 1, d))
         blocks = ad.concat([ad.broadcast_to(stamps, (batch, n_frames, 1, d)), events], axis=2)
         flat_blocks = ad.reshape(blocks, (batch, n_frames * (1 + n_events), d))
         return ForwardResult(scene=scene, events=events, flattened=ad.concat([scene, flat_blocks], axis=1))

@@ -41,32 +41,6 @@ def relative_error(analytic: float, numeric: float) -> float:
     return abs(analytic - numeric) / max(abs(analytic) + abs(numeric), REL_ERR_FLOOR)
 
 
-def staged_sum_loss(model: SpaCompressor, x: PreparedInput, cached: StageOutputs, group: str) -> float:
-    """The check's sum-of-outputs loss after parameter group ``group`` has
-    changed since ``cached = model.run_stages(x)``: only the stages
-    downstream of ``group`` rerun."""
-    out = model.run_stages(x, model.DOWNSTREAM[group], cached)
-    return float(model.assemble(out.scene, out.events, out.timestamps).flattened.value.sum())
-
-
-def scalar_losses(model: SpaCompressor, x: PreparedInput, cached: StageOutputs, group: str) -> np.ndarray:
-    """The (+STEP, -STEP) losses of every scalar of ``group``, one staged
-    forward per probe; each scalar is restored, also if a stage raises."""
-    losses = []
-    for _, node in model.parameter_groups()[group]:
-        flat = node.value.reshape(-1)
-        for k in range(flat.size):
-            original = flat[k]
-            try:
-                flat[k] = original + STEP
-                plus = staged_sum_loss(model, x, cached, group)
-                flat[k] = original - STEP
-                losses.append((plus, staged_sum_loss(model, x, cached, group)))
-            finally:
-                flat[k] = original
-    return np.array(losses)
-
-
 def batched_losses(model: SpaCompressor, x: PreparedInput, cached: StageOutputs, group: str) -> np.ndarray:
     """The (+STEP, -STEP) losses of every scalar of ``group``, CHUNK
     scalars per staged forward at batch PROBES.
@@ -75,11 +49,12 @@ def batched_losses(model: SpaCompressor, x: PreparedInput, cached: StageOutputs,
     leading axis: row 2j holds scalar j of the chunk at +STEP, row 2j + 1
     at -STEP, and every other row the original value.  The cached stage
     outputs and the prepared inputs are read-only views broadcast to batch
-    PROBES, so batch entry i meets probe i in ``kernels._probe_split`` and
-    in the query banks.  Each probe's loss is its batch entry's sum, the
-    same float computation as :func:`staged_sum_loss` with that one
-    perturbation.  The original arrays are put back when the sweep ends,
-    also if a stage raises.
+    PROBES, so batch entry i meets probe i in ``kernels._probe_split``, in
+    the query banks and in ``time_encoder.encode_timestamp``, whose (P, D)
+    stamps ``SpaCompressor.assemble`` gives one per batch entry.  Each
+    probe's loss is its batch entry's sum, the same float computation as a
+    full forward with that one perturbation.  The original arrays are put
+    back when the sweep ends, also if a stage raises.
     """
 
     def batch(node: Node) -> Node:
@@ -128,11 +103,9 @@ def finite_difference_check(
     Frozen groups are skipped and flagged; they receive no gradient flow.
     Each finite-difference loss reruns, value-only, only the stages
     downstream of the perturbed group and reuses the others' outputs, so it
-    is the same float computation as a full forward.  The fusion, scene
-    and event groups run CHUNK scalars' probes per staged forward
-    (:func:`batched_losses`); the probe axis exists only on this
-    value-only path.  The time encoder's GRU takes no probe batch, so its
-    group runs one staged forward per probe (:func:`scalar_losses`).
+    is the same float computation as a full forward.  Every group runs
+    CHUNK scalars' probes per staged forward (:func:`batched_losses`); the
+    probe axis exists only on this value-only path.
     Float64 models only: at ``STEP``, float32 round-off swamps the
     difference.  An unknown group in ``freeze`` is a ``ValueError``.
     """
@@ -165,8 +138,7 @@ def finite_difference_check(
                 n = sum(node.value.size for _, node in named)
                 reports.append(GroupReport(group, n, 0.0, "(frozen)", frozen=True))
                 continue
-            sweep = scalar_losses if "times" in model.DOWNSTREAM[group] else batched_losses
-            losses = sweep(model, x, cached, group)
+            losses = batched_losses(model, x, cached, group)
             labels = [f"{name}[{k}]" for name, node in named for k in range(node.value.size)]
             analytic = np.concatenate([analytic_grads[id(node)].reshape(-1) for _, node in named])
             worst_err, worst_param = 0.0, ""

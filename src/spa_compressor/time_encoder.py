@@ -10,6 +10,8 @@ The whole recurrence of one timestamp is one fused autodiff node
 (:func:`encode_timestamp`).  Its forward runs, character by character, the
 same numpy operations in the same order as the op-by-op gate graph, so its
 values are bit-identical to that graph; its VJP backpropagates through time.
+Parameters that stack P probe values, as the gradient check's sweep sets
+them, give one value-only (P, D) leaf, one timestamp per probe.
 """
 
 from __future__ import annotations
@@ -73,29 +75,35 @@ def encode_timestamp(t: float, p: TimeEncoderParams) -> Node:
     One node over the embedding table and the nine gate parameters.  Its
     VJP backpropagates through the steps, then forms each weight gradient
     as one GEMM over the stacked steps.
+
+    An ``embed`` of P * len(DIGIT_ALPHABET) rows, with (P * D, D) weights
+    and (P * D,) biases, stacks P probe values (the gradient check's
+    value-only probe path): each probe runs the loop on its own (1, D)
+    state, so row i of the (P, D) leaf is bit-identical to the call on it.
     """
     rows = [DIGIT_ALPHABET.index(ch) for ch in render_time(t)]
-    gates = (
-        p.w_update, p.u_update, p.b_update,
-        p.w_reset, p.u_reset, p.b_reset,
-        p.w_cand, p.u_cand, p.b_cand,
+    # the table, then the gate parameters: the field order, which grads returns
+    parents = tuple(node for _, node in ad.named_parameters(p))
+    probes, dim = p.embed.shape[0] // len(DIGIT_ALPHABET), p.embed.shape[1]
+    stacked = p.embed.shape[0] != len(DIGIT_ALPHABET)
+    embed, w_z, u_z, b_z, w_r, u_r, b_r, w_n, u_n, b_n = (
+        node.value.reshape(probes, -1, dim) if stacked else node.value  # (P, 11, D), (P, D, D), (P, 1, D)
+        for node in parents
     )
-    w_z, u_z, b_z, w_r, u_r, b_r, w_n, u_n, b_n = (g.value for g in gates)
-    embed = p.embed.value
-    xs = embed[rows]
+    xs = embed[..., rows, :]
     dtype = xs.dtype
-    h = np.zeros((1, embed.shape[1]), dtype=dtype)
+    h = np.zeros(xs.shape[:-2] + (1, dim), dtype=dtype)
     steps = []
     for k in range(len(rows)):
-        x = xs[k : k + 1]
+        x = xs[..., k : k + 1, :]
         z = expit(x @ w_z + h @ u_z + b_z)
         r = expit(x @ w_r + h @ u_r + b_r)
         rh = r * h
         n = np.tanh(x @ w_n + rh @ u_n + b_n)
         steps.append((h, z, r, rh, n))
         h = (np.asarray(1.0, dtype=dtype) - z) * n + z * h
-    out = h.reshape(-1)
-    if not ad.recording():
+    out = h.reshape(xs.shape[:-2] + (dim,))
+    if stacked or not ad.recording():
         return Node(out)
 
     def grads(g):
@@ -119,5 +127,4 @@ def encode_timestamp(t: float, p: TimeEncoderParams) -> Node:
             xs.T @ d_n, rhs.T @ d_n, d_n.sum(axis=0),
         )
 
-    parents = (p.embed,) + gates
     return Node(out, parents, ad.shared_vjps(grads, len(parents)))

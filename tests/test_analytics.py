@@ -92,6 +92,12 @@ def test_non_positive_inputs_are_errors(bad):
         RatioInput(64, 32, frames_per_sentence=bad)
 
 
+@pytest.mark.parametrize("e, n, dv", [(1e308, 1e308, 1), (1, 1e-200, 1e-200)], ids=["overflow", "underflow"])
+def test_non_finite_ratio_is_an_error(e, n, dv):
+    with pytest.raises(ValueError, match="compression ratio is not finite"):
+        compression_ratio(RatioInput(1, e, n, dv))
+
+
 def test_sweep_covers_full_grid():
     reports = sweep([16, 64], [8, 32])
     assert len(reports) == 4

@@ -82,6 +82,21 @@ class TestRatioCommand:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "flags, given",
+        [
+            (["--s", "64", "--e", "32", "--n-avg", "1e308", "--dv", "1e308"], "--s 64 --e 32 --n-avg 1e+308 --dv 1e+308"),
+            # the original token count n * dv underflows to zero
+            (["--s", "1", "--e", "1", "--n-avg", "1e-200", "--dv", "1e-200"], "--s 1 --e 1 --n-avg 1e-200 --dv 1e-200"),
+            (["--grid", "1,2x3", "--n-avg", "1e308", "--dv", "1e308"], "--grid 1,2x3 --n-avg 1e+308 --dv 1e+308"),
+        ],
+        ids=["overflow", "underflow", "grid"],
+    )
+    def test_non_finite_ratio_names_its_flags(self, capsys, flags, given):
+        assert run_cli("ratio", *flags) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: ratio is not finite for {given}\n"
+
 
 @pytest.mark.parametrize(
     "flags, message",
@@ -104,6 +119,37 @@ def test_generate_rejects_a_video_that_run_cannot_read(tmp_path, capsys, flags, 
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "video").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["generate", "--frames", "0"], "--frames: need at least one frame, got 0"),
+        (["generate", "--sentences", "-1"], "--sentences: sentence count cannot be negative, got -1"),
+        (["generate", "--step", "nan"], "--step: frame step must be finite and positive, got nan"),
+        (["generate", "--step", "400000"],
+         "--frames, --step: 4 frames 400000s apart end past the 1000000s timestamp limit"),
+        (["generate", "--sentences", "30", "--step", "0.1"],
+         "--frames, --sentences, --step: 30 sentences cannot fit a 0.4s video (window 0.013s < 0.2s)"),
+        (["generate", "--l-s-min", "5", "--l-s-max", "4"],
+         "--l-s-min, --l-s-max: sentence token range must satisfy 1 <= min <= max"),
+        (["generate", "--d", "0"], "--d, --l-v: model dim and vision tokens per frame must be >= 1"),
+        (["--seed", "-1", "generate"], "--seed: video seed must be non-negative, got -1"),
+        # gradcheck and fit have no --step or --l-s-* flags, so only the flags they have are named
+        (["gradcheck", "--frames", "0"], "--frames: need at least one frame, got 0"),
+        (["gradcheck", "--sentences", "-1"], "--sentences: sentence count cannot be negative, got -1"),
+        (["gradcheck", "--frames", "2000000"], "--frames: 2000000 frames 1s apart end past the 1000000s timestamp limit"),
+        (["fit", "--frames", "0"], "--frames: need at least one frame, got 0"),
+        (["fit", "--frames", "1", "--sentences", "50"],
+         "--frames, --sentences: 50 sentences cannot fit a 1.0s video (window 0.020s < 0.2s)"),
+    ],
+)
+def test_bad_video_value_names_its_flags(tmp_path, capsys, flags, message):
+    out = ["--out", str(tmp_path / "video")] if "generate" in flags else []
+    assert run_cli(*flags, *out) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
     assert not (tmp_path / "video").exists()
 
 
@@ -322,10 +368,12 @@ def test_malformed_video_is_one_error_line(tmp_path, capsys, corrupt, fragments)
         ("run", COMPRESSOR_INI + "seed = -1\n", "[compressor]: seed must be non-negative, got -1"),
         ("golden", GOLDEN_CASE.replace("video_seed = 1", "video_seed = -2") + "video_frames = 2\n",
          "[case:toy]: video seed must be non-negative, got -2"),
+        ("golden", GOLDEN_CASE.replace("video_sentences = 2", "video_sentences = 50") + "video_frames = 1\n",
+         "[case:toy]: 50 sentences cannot fit a 1.0s video"),
     ],
     ids=["missing-key", "bad-int", "no-header", "no-section", "unknown-key",
          "golden-missing-video-key", "golden-bad-video", "golden-no-case", "bad-precision",
-         "negative-seed", "golden-negative-video-seed"],
+         "negative-seed", "golden-negative-video-seed", "golden-sentences-cannot-fit"],
 )
 def test_malformed_ini_is_one_error_line(tmp_path, capsys, command, text, named):
     path = tmp_path / "bad.ini"

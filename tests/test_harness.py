@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spa_compressor import autodiff
+from spa_compressor import autodiff, compressor
 from spa_compressor.autodiff import Node
 from spa_compressor.compressor import MODE_FRAME, MODE_GLOBAL, CompressorConfig, SpaCompressor
 from spa_compressor.fitting import FitConfig, fit
@@ -16,7 +16,6 @@ from spa_compressor.gradcheck import (
     STEP,
     batched_losses,
     finite_difference_check,
-    staged_sum_loss,
 )
 from spa_compressor.manifest import read_video, write_video
 from spa_compressor.sequence import validate_frames, validate_sentences
@@ -100,9 +99,28 @@ class TestGradcheck:
         frames, sentences = generate(SyntheticVideoSpec(**TINY_VIDEO))
         model = SpaCompressor(CompressorConfig(**TINY_CONFIG))
         reports = finite_difference_check(model, frames, sentences)
-        # GELU is in every FFN, so each probe-batched group must fail; the time
-        # encoder has none
+        # GELU is in every FFN, so the fusion, scene and event groups must fail;
+        # the time encoder has none, so it passes
         assert [r.name for r in reports if not r.passed()] == ["fusion", "scene", "event"]
+
+    def test_corrupted_time_encoder_backward_fails_only_its_group(self, monkeypatch):
+        # negative control for the GRU: scale the recorded timestamp node's
+        # VJPs, and the probe-batched time_encoder sweep must catch it.  The
+        # sweep's probe calls return leaves, which pass through unchanged
+        true_encode = compressor.encode_timestamp
+
+        def corrupted_encode(t, p):
+            node = true_encode(t, p)
+            if not node.parents:
+                return node
+            bad = tuple(lambda g, f=f: 1.01 * f(g) for f in node.vjps)
+            return Node(node.value, node.parents, bad)
+
+        monkeypatch.setattr(compressor, "encode_timestamp", corrupted_encode)
+        frames, sentences = generate(SyntheticVideoSpec(**TINY_VIDEO))
+        model = SpaCompressor(CompressorConfig(**TINY_CONFIG))
+        reports = finite_difference_check(model, frames, sentences)
+        assert [r.name for r in reports if not r.passed()] == ["time_encoder"]
 
     @pytest.mark.parametrize("freeze", [("events",), ("fusion", "timestamps")])
     def test_unknown_freeze_group_is_rejected(self, freeze):
@@ -118,21 +136,23 @@ class TestGradcheck:
             finite_difference_check(model, frames, sentences)
 
     @pytest.mark.parametrize(
-        "config",
+        "config, video",
         [
-            {**TOY_CONFIG, "mode": MODE_FRAME},
-            {**TOY_CONFIG, "mode": MODE_GLOBAL},
+            ({**TOY_CONFIG, "mode": MODE_FRAME}, TOY_VIDEO),
+            ({**TOY_CONFIG, "mode": MODE_GLOBAL}, TOY_VIDEO),
             # layer 1's self-attention reads the (B, N, E, D) state folded to (B*N, E, D)
-            {**TOY_CONFIG, "mode": MODE_FRAME, "event_layers": 2},
+            ({**TOY_CONFIG, "mode": MODE_FRAME, "event_layers": 2}, TOY_VIDEO),
+            # frame times "0.0", "9.5" and "19.0": GRU runs of 3 and 4 characters
+            ({**TOY_CONFIG, "mode": MODE_FRAME}, {**TOY_VIDEO, "n_frames": 3, "frame_step": 9.5}),
         ],
-        ids=[MODE_FRAME, MODE_GLOBAL, f"{MODE_FRAME}-2-event-layers"],
+        ids=[MODE_FRAME, MODE_GLOBAL, f"{MODE_FRAME}-2-event-layers", f"{MODE_FRAME}-times-of-two-lengths"],
     )
-    def test_staged_loss_equals_a_full_forward_bit_for_bit(self, config):
+    def test_staged_loss_equals_a_full_forward_bit_for_bit(self, config, video):
         # the sweep reruns only the stages downstream of the perturbed group;
         # a stage missing from SpaCompressor.DOWNSTREAM would reuse a stale
         # output, and a probe row that leaked into another batch entry would
         # change that entry's loss
-        frames, sentences = generate(SyntheticVideoSpec(**TOY_VIDEO))
+        frames, sentences = generate(SyntheticVideoSpec(**video))
         model = SpaCompressor(CompressorConfig(**config))
         x = model.prepare_input(frames, sentences)
 
@@ -154,17 +174,13 @@ class TestGradcheck:
             cached = model.run_stages(x)
         for group, named in model.parameter_groups().items():
             scalars = [(name, node, k) for name, node in named for k in range(node.value.size)]
-            if group == "time_encoder":  # the scalar path, one staged forward per probe
-                for name, node, k in (scalars[0], scalars[len(scalars) // 2], scalars[-1]):
-                    for delta in (STEP, -STEP):
-                        with perturbed(node, k, delta):
-                            assert staged_sum_loss(model, x, cached, group) == full_loss(), f"{group}.{name}[{k}]"
-                continue
             with autodiff.no_grad():
                 losses = batched_losses(model, x, cached, group)
             assert losses.shape == (len(scalars), 2)
             # every row of two batched runs: the last chunk, which leaves rows
-            # at the original values, and one whose scalars span two tensors
+            # at the original values when the group's size is not a multiple of
+            # CHUNK, and the first whose scalars span two tensors (for the time
+            # encoder, embed -> w_update)
             last = (len(scalars) - 1) // CHUNK * CHUNK
             spanning = next(
                 start for start in range(0, len(scalars), CHUNK)
@@ -178,6 +194,8 @@ class TestGradcheck:
                             full = full_loss()
                         assert losses[t, column] == full, f"{group}.{name}[{k}]{delta:+}: {losses[t, column]!r} != {full!r}"
 
+    # every group takes the probe-batched path; each case fails a stage that
+    # its group's sweep reruns
     @pytest.mark.parametrize(
         "group, stage", [("fusion", "extract_events"), ("event", "extract_events"), ("time_encoder", "encode_frame_times")]
     )

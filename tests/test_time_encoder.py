@@ -5,6 +5,7 @@ from oracles import naive_encode_timestamp
 
 from spa_compressor import autodiff as ad
 from spa_compressor.time_encoder import (
+    TimeEncoderParams,
     encode_timestamp,
     render_time,
     time_encoder_params,
@@ -77,3 +78,27 @@ def test_gradients_match_finite_differences(t):
             numeric = (plus - minus) / 2e-5
             denom = max(abs(analytic[k]) + abs(numeric), 1e-4)
             assert abs(analytic[k] - numeric) / denom < 1e-4, f"{name}[{k}]"
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("t", [0.0, 7.5, 73.5, 999999.9])
+def test_stacked_probe_values_match_one_call_per_probe(dtype, t):
+    # the gradient check's probe path: P parameter sets stacked on each
+    # parameter's leading axis give one (P, D) leaf, row i bit-identical to
+    # the call on set i
+    rng = np.random.default_rng(31)
+    base = ad.named_parameters(time_encoder_params(6, rng, dtype))
+    sets = [
+        TimeEncoderParams(**{name: ad.Node(node.value + dtype(0.01) * rng.standard_normal(node.shape).astype(dtype))
+                             for name, node in base})
+        for _ in range(3)
+    ]
+    stacked = TimeEncoderParams(**{
+        name: ad.Node(np.concatenate([getattr(s, name).value for s in sets])) for name, _ in base
+    })
+    assert ad.recording()
+    out = encode_timestamp(t, stacked)
+    assert out.shape == (3, 6) and out.value.dtype == dtype
+    assert out.parents == ()
+    for i, params in enumerate(sets):
+        assert np.array_equal(out.value[i], encode_timestamp(t, params).value), i
