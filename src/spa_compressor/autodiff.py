@@ -7,7 +7,8 @@ which walks the graph in reverse topological order.  Everything is pure
 numpy, double precision by default, and bit-deterministic: the same inputs
 always produce the same graph and the same gradients.
 
-The ops here are the generic building blocks; a node cannot be indexed.
+The ops here are the generic building blocks; :func:`affine` is every
+projection, ``x @ w + b`` as one node.  A node cannot be indexed.
 The hot kernels are fused nodes built outside this module:
 ``kernels.layer_norm``, ``kernels.attention_core`` and
 ``time_encoder.encode_timestamp`` (the whole character GRU of one
@@ -55,7 +56,7 @@ __all__ = [
     "add",
     "sub",
     "mul",
-    "matmul",
+    "affine",
     "gelu",
     "reduce_sum",
     "reduce_mean",
@@ -133,9 +134,6 @@ class Node:
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def as_node(x) -> Node:
@@ -236,28 +234,30 @@ def mul(a, b) -> Node:
     )
 
 
-def matmul(a, b) -> Node:
-    """``a @ b`` for ``a`` of rank >= 2 and a 2-D ``b`` (the weights).
+def affine(x, w, b) -> Node:
+    """``x @ w + b`` as one node, for ``x`` of rank >= 2, 2-D weights ``w``
+    and a bias ``b`` that broadcasts over the rows.
 
-    The VJPs fold the leading axes of ``a`` into the rows of one 2-D GEMM
-    per gradient.
+    ``b`` is added in the product's buffer, so the result keeps ``x @ w``'s
+    dtype where ``x @ w + b`` would promote; every caller passes one dtype,
+    so the values are those of ``x @ w + b``.  The weight VJPs fold the
+    leading axes of ``x`` into the rows of one 2-D GEMM per gradient.
     """
-    a, b = as_node(a), as_node(b)
-    if a.ndim < 2 or b.ndim != 2:
-        raise ValueError(
-            f"matmul expects a left operand of rank >= 2 and a 2-D right operand, "
-            f"got {a.shape} @ {b.shape}"
-        )
-    out = a.value @ b.value
+    x, w, b = as_node(x), as_node(w), as_node(b)
+    if x.ndim < 2 or w.ndim != 2:
+        raise ValueError(f"affine expects an input of rank >= 2 and 2-D weights, got {x.shape} @ {w.shape}")
+    out = x.value @ w.value
+    out += b.value
     if not _recording:
         return Node(out)
-    k, n = b.shape
+    k, n = w.shape
     return Node(
         out,
-        (a, b),
+        (x, w, b),
         (
-            lambda g: (g.reshape(-1, n) @ b.value.T).reshape(a.value.shape),
-            lambda g: a.value.reshape(-1, k).T @ g.reshape(-1, n),
+            lambda g: (g.reshape(-1, n) @ w.value.T).reshape(x.value.shape),
+            lambda g: x.value.reshape(-1, k).T @ g.reshape(-1, n),
+            lambda g: unbroadcast(g, b.value.shape),
         ),
     )
 

@@ -10,11 +10,11 @@ Every attention in the compressor is one :func:`attend`: queries attend
 into a context shared by every query row and, for the event stage's
 frame-conditioned cross-attention, each frame's own tokens.  The core
 scores the two key blocks separately and combines them by their row maxima
-and sums, so the shared block is never tiled over frames.  The attention
-projections and the FFN are ``matmul``/``add``/``gelu`` nodes.  The
-projections and layer norm also take parameters that stack P probe values
-of the finite-difference sweep, one per part of the batch; that path is
-value-only.
+and sums, so the shared block is never tiled over frames.  Every attention
+and FFN projection is one ``affine`` node, and the FFN adds a ``gelu``.
+The projections and layer norm also take parameters that stack P probe
+values of the finite-difference sweep, one per part of the batch; that
+path is value-only.
 Weights are initialized uniformly in [-1/sqrt(D), 1/sqrt(D)] from a seeded
 generator, which makes every run bit-reproducible.
 """
@@ -132,12 +132,12 @@ def _probe_split(x: np.ndarray, stacked: np.ndarray, shape: tuple) -> tuple[np.n
 
 
 def _project(x: Node, w: Node, b: Node) -> Node:
-    """``x @ w + b`` as ``matmul`` and ``add`` nodes.  A ``w`` with P times
-    x's width in rows, and a ``b`` of P*n entries, stack P probe values
-    (see :func:`_probe_split`); that path is value-only and returns a leaf."""
+    """``x @ w + b`` as one ``affine`` node.  A ``w`` with P times x's width
+    in rows, and a ``b`` of P*n entries, stack P probe values (see
+    :func:`_probe_split`); that path is value-only and returns a leaf."""
     k, n = x.shape[-1], w.shape[-1]
     if w.shape[0] == k:
-        return x @ w + b
+        return ad.affine(x, w, b)
     parts, ws = _probe_split(x.value, w.value, (k, n))
     return Node((parts @ ws + b.value.reshape(ws.shape[:-2] + (1, n))).reshape(x.shape[:-1] + (n,)))
 
@@ -249,7 +249,7 @@ def attend(q: Node, shared: Node, own: Node | None, p: AttentionParams) -> Node:
     Softmax runs over the keys with scale 1/sqrt(head_dim), applied to the
     projected queries; no mask.  Each context is projected once, so the
     shared one is never tiled over frames, and the q, k, v and output
-    projections are ``matmul``/``add`` nodes around :func:`attention_core`.
+    projections are ``affine`` nodes around :func:`attention_core`.
     """
     if q.ndim not in (3, 4) or shared.ndim != 3:
         raise ValueError(

@@ -61,9 +61,9 @@ OPS = [
     (lambda a, b: a + b, [(3, 4), (4,)]),  # broadcast
     (lambda a, b: a - b, [(2, 3), (2, 3)]),
     (lambda a, b: a * b, [(3, 4), (1, 4)]),
-    (lambda a, b: a @ b, [(3, 4), (4, 5)]),
-    (lambda a, b: a @ b, [(2, 3, 4), (4, 5)]),  # batched vs shared
-    (lambda a, b: a @ b, [(2, 2, 3, 4), (4, 5)]),  # two batch axes vs shared
+    (lambda x, w, b: ad.affine(x, w, b), [(3, 4), (4, 5), (5,)]),
+    (lambda x, w, b: ad.affine(x, w, b), [(2, 3, 4), (4, 5), (5,)]),  # batched vs shared
+    (lambda x, w, b: ad.affine(x, w, b), [(2, 2, 3, 4), (4, 5), (5,)]),  # two batch axes vs shared
     (lambda a: ad.gelu(a), [(4, 3)]),
     (lambda a: ad.reduce_sum(a) * a, [(3, 4)]),
     (lambda a: ad.reduce_mean(a) - a, [(2, 5)]),
@@ -131,11 +131,11 @@ def test_nodes_cannot_be_indexed():
         Node(np.ones((3, 4)))[1]
 
 
-def test_matmul_needs_a_2d_right_operand():
+def test_affine_needs_2d_weights():
     with pytest.raises(ValueError, match=r"\(3, 4\) @ \(2, 4, 5\)"):
-        Node(np.ones((3, 4))) @ Node(np.ones((2, 4, 5)))
+        ad.affine(Node(np.ones((3, 4))), Node(np.ones((2, 4, 5))), Node(np.ones(5)))
     with pytest.raises(ValueError, match="rank >= 2"):
-        Node(np.ones(4)) @ Node(np.ones((4, 5)))
+        ad.affine(Node(np.ones(4)), Node(np.ones((4, 5))), Node(np.ones(5)))
 
 
 def test_gradients_accumulate_across_reuse():

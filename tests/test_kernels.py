@@ -8,6 +8,7 @@ from spa_compressor.autodiff import Node
 from spa_compressor.kernels import (
     AttentionParams,
     FfnParams,
+    _project,
     attend,
     attention_core,
     attention_params,
@@ -189,6 +190,15 @@ class TestAttendSharedContext:
         p = attention_params(8, 2, rng)
         with pytest.raises(ValueError, match="mismatch|query blocks"):
             attend(Node(np.zeros(q_shape)), Node(np.zeros((2, 5, 8))), Node(np.zeros(own_shape)), p)
+
+
+class TestProject:
+    def test_recorded_projection_is_one_node_over_input_weights_and_bias(self, rng):
+        x = Node(rng.standard_normal((2, 3, 4)))
+        w, b = Node(rng.standard_normal((4, 5))), Node(rng.standard_normal(5))
+        out = _project(x, w, b)
+        assert out.parents == (x, w, b) and len(out.vjps) == 3
+        np.testing.assert_array_equal(out.value, x.value @ w.value + b.value)
 
 
 class TestFfn:
