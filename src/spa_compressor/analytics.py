@@ -18,7 +18,8 @@ DEFAULT_FRAMES_PER_SENTENCE = 1.836
 DEFAULT_VISUAL_TOKENS_PER_FRAME = 384
 
 # Published ablation configurations with their printed reduction
-# percentages.  A printed value is consistent with the ratio formula above
+# percentages, all at the default N and D_v, so a row matches only those
+# whole inputs.  A printed value is consistent with the ratio formula above
 # when it is within PUBLISHED_TOLERANCE_PP percentage points of it.  The S=8
 # row is not (the formula gives ~90.53%), so it is flagged as inconsistent
 # rather than silently reproduced.
@@ -116,15 +117,16 @@ def published_sweep_check() -> list[dict]:
 
 
 def published_note(report: CompressionReport) -> str:
-    """Annotation for sweep cells that match a published configuration."""
-    for entry in PUBLISHED_SWEEP:
-        if (entry["s"], entry["e"]) != (report.inputs.scene_tokens, report.inputs.event_tokens):
+    """Annotation for a report whose whole input is a published
+    configuration, judged as :func:`published_sweep_check` judges it;
+    empty for any other input."""
+    for row in published_sweep_check():
+        if RatioInput(row["s"], row["e"]) != report.inputs:
             continue
-        delta = report.reduction_percent - entry["printed_reduction"]
-        if abs(delta) <= PUBLISHED_TOLERANCE_PP:
-            return f"matches published {entry['printed_reduction']}"
+        if row["consistent"]:
+            return f"matches published {row['printed_reduction']}"
         return (
-            f"published {entry['printed_reduction']} INCONSISTENT "
+            f"published {row['printed_reduction']} INCONSISTENT "
             f"(formula gives {report.display_reduction()})"
         )
     return ""

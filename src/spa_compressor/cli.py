@@ -81,6 +81,9 @@ def cmd_ratio(args) -> int:
             print(f"error: bad --grid {args.grid!r}; expected 's1,s2x e1,e2' syntax", file=sys.stderr)
             return 2
         values += [("--grid", v) for v in scene_grid + event_grid]
+    elif args.format is not None:
+        print("error: --format applies only to --grid", file=sys.stderr)
+        return 2
     elif args.s is None or args.e is None:
         print("error: ratio needs either --grid or both --s and --e", file=sys.stderr)
         return 2
@@ -125,6 +128,8 @@ def cmd_run(args) -> int:
     _check_writable(args.out, "--out")
     if args.report:
         _check_writable(args.report, "--report")
+        if args.report.resolve() == args.out.resolve():
+            raise ValueError(f"--out and --report name the same file, {args.out}")
     config = _model_config(args)
     frames, sentences = read_video(args.manifest)
     model = SpaCompressor(config)
@@ -193,6 +198,8 @@ def cmd_fit(args) -> int:
     if args.lr > largest:
         print(f"error: --lr {args.lr:g} exceeds the largest {config.precision} value, {largest:g}", file=sys.stderr)
         return 2
+    if args.out:
+        _check_writable(args.out, "--out")
     frames, sentences = _video(
         args, vision_tokens_per_frame=config.vision_tokens_per_frame, dim=config.dim, seed=config.seed
     )
@@ -237,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-avg", type=float, default=analytics.DEFAULT_FRAMES_PER_SENTENCE)
     p.add_argument("--dv", type=float, default=analytics.DEFAULT_VISUAL_TOKENS_PER_FRAME)
     p.add_argument("--grid", help="'s1,s2,...xe1,e2,...' sweep specification")
-    p.add_argument("--format", choices=("table", "csv"), default="table")
+    p.add_argument("--format", choices=("table", "csv"), help="--grid output format (default: table)")
     p.set_defaults(func=cmd_ratio)
 
     p = sub.add_parser("run", help="compress a video manifest")

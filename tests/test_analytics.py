@@ -53,6 +53,13 @@ def test_published_small_scene_row_is_flagged_inconsistent():
     assert abs(flagged[0]["computed_reduction"] - 90.53) < 0.01
 
 
+@pytest.mark.parametrize("n_avg, dv", [(3.0, 384), (1.836, 100), (2.0, 192)])
+def test_published_note_needs_the_published_averages(n_avg, dv):
+    # S=64, E=32 is a published row only at the default N and D_v
+    assert published_note(compression_ratio(RatioInput(64, 32, n_avg, dv))) == ""
+    assert published_note(compression_ratio(RatioInput(64, 32))) == "matches published 82.59"
+
+
 def test_reduction_definition_is_exact():
     report = compression_ratio(RatioInput(10, 10, 2.0, 100))
     assert report.reduction_percent + 100.0 * report.ratio == 100.0

@@ -47,6 +47,24 @@ class TestRatioCommand:
         out = capsys.readouterr().out
         assert "ratio 0.1500" in out
 
+    def test_published_note_only_at_the_published_inputs(self, capsys):
+        assert run_cli("ratio", "--s", "64", "--e", "32") == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "matches published 82.59"
+        # the published rows hold only at the default --n-avg and --dv
+        assert run_cli("ratio", "--s", "64", "--e", "32", "--n-avg", "3") == 0
+        assert capsys.readouterr().out == "ratio 0.1389\nreduction 86.11%\n"
+        assert run_cli("ratio", "--grid", "64x32", "--dv", "100") == 0
+        out = capsys.readouterr().out
+        assert "published" not in out and out.splitlines()[1].split() == ["64", "32", "0.6686", "33.14"]
+        assert run_cli("ratio", "--grid", "64x32") == 0
+        assert capsys.readouterr().out.splitlines()[1].endswith("matches published 82.59")
+
+    @pytest.mark.parametrize("fmt", ["csv", "table"])
+    def test_format_without_grid_is_usage_error(self, capsys, fmt):
+        assert run_cli("ratio", "--format", fmt, "--s", "64", "--e", "32") == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: --format applies only to --grid\n"
+
     def test_missing_tokens_is_usage_error(self, capsys):
         assert run_cli("ratio", "--s", "64") == 2
         out, err = capsys.readouterr()
@@ -183,6 +201,18 @@ class TestGenerateAndRun:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {flag} {paths[flag]}: directory ") and err.count("\n") == 1
         assert not (tmp_path / "out.spat").exists() and not (tmp_path / "report.txt").exists()
+
+    def test_same_file_for_out_and_report_is_an_error(self, tmp_path, capsys):
+        video_dir = tmp_path / "video"
+        assert run_cli("generate", "--out", str(video_dir), "--d", "8") == 0
+        capsys.readouterr()
+        out = tmp_path / "o.spat"
+        # one file reached by two spellings: the report would overwrite the tensor
+        assert run_cli("run", "--d", "8", "--l-v", "2", "--manifest", str(video_dir / "video.manifest"),
+                       "--out", str(out), "--report", str(video_dir / ".." / "o.spat")) == 1
+        out_text, err = capsys.readouterr()
+        assert out_text == "" and err == f"error: --out and --report name the same file, {out}\n"
+        assert not out.exists()
 
     def test_run_twice_same_seed_is_byte_identical(self, tmp_path):
         video_dir = tmp_path / "video"
@@ -443,6 +473,17 @@ class TestFitCommand:
         lines = csv.read_text().strip().splitlines()
         assert lines[0] == "step,loss"
         assert len(lines) == 202
+
+    @pytest.mark.parametrize("target", ["missing-dir", "directory"])
+    def test_unwritable_out_fails_before_training(self, tmp_path, capsys, monkeypatch, target):
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr("spa_compressor.cli.fit", no_training)
+        out = {"missing-dir": tmp_path / "nonexistent" / "c.csv", "directory": tmp_path}[target]
+        assert run_cli("fit", *TINY_FLAGS, "--steps", "3", "--out", str(out)) == 1
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err.startswith(f"error: --out {out}") and err.count("\n") == 1
 
     def test_zero_learning_rate_fails_halving_bar(self, capsys):
         assert run_cli("fit", *TINY_FLAGS, "--steps", "3", "--lr", "0") == 1
