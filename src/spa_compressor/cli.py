@@ -24,7 +24,7 @@ import numpy as np
 
 from . import analytics, golden
 from . import autodiff as ad
-from .compressor import INI_KEYS, MODES, CompressorConfig, SpaCompressor
+from .compressor import INI_KEYS, MODES, CompressorConfig, ConfigError, SpaCompressor
 from .fitting import FitConfig, fit
 from .goldenio import write_tensor
 from .gradcheck import finite_difference_check
@@ -45,10 +45,15 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
 
 def _model_config(args) -> CompressorConfig:
     """Each model flag given explicitly (global ``--seed`` and ``--precision``
-    too), else the ``--config`` INI's value, else the toy default."""
+    too), else the ``--config`` INI's value, else the toy default; an error
+    names the flags of the values it read."""
     config = CompressorConfig.from_ini(args.config) if args.config is not None else CompressorConfig(**TOY)
     given = {field: getattr(args, key) for key, (field, _) in INI_KEYS.items()}
-    return dataclasses.replace(config, **{k: v for k, v in given.items() if v is not None})
+    try:
+        return dataclasses.replace(config, **{k: v for k, v in given.items() if v is not None})
+    except ConfigError as exc:
+        flags = ["--" + key.replace("_", "-") for key, (field, _) in INI_KEYS.items() if field in exc.fields]
+        raise ValueError(f"{', '.join(flags)}: {exc}") from None
 
 
 # SyntheticVideoSpec field -> the dest of the flag that sets it

@@ -98,6 +98,14 @@ def ini_value(section, key: str, parse, where: str):
         raise ValueError(f"{where}: bad value for {key!r}: {exc}") from None
 
 
+class ConfigError(ValueError):
+    """A bad :class:`CompressorConfig`; ``fields`` names the config fields the failed check read."""
+
+    def __init__(self, fields: tuple[str, ...], message: str):
+        super().__init__(message)
+        self.fields = fields
+
+
 @dataclass
 class CompressorConfig:
     dim: int = 64
@@ -112,17 +120,22 @@ class CompressorConfig:
     precision: str = "f64"
 
     def __post_init__(self):
-        if min(self.scene_tokens, self.event_tokens, self.vision_tokens_per_frame,
-               self.scene_layers, self.event_layers) < 1:
-            raise ValueError("scene/event/vision token counts and layer counts must be >= 1")
-        if self.dim < 1 or self.heads < 1 or self.dim % self.heads != 0:
-            raise ValueError(f"heads ({self.heads}) must divide model dim ({self.dim})")
+        counts = ("scene_tokens", "event_tokens", "vision_tokens_per_frame", "scene_layers", "event_layers")
+        below_one = tuple(f for f in counts if getattr(self, f) < 1)
+        if below_one:
+            raise ConfigError(below_one, "scene/event/vision token counts and layer counts must be >= 1")
+        if self.dim < 1:
+            raise ConfigError(("dim",), f"model dim must be >= 1, got {self.dim}")
+        if self.heads < 1:
+            raise ConfigError(("heads",), f"head count must be >= 1, got {self.heads}")
+        if self.dim % self.heads != 0:
+            raise ConfigError(("dim", "heads"), f"heads ({self.heads}) must divide model dim ({self.dim})")
         if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
+            raise ConfigError(("mode",), f"unknown mode {self.mode!r}; expected one of {MODES}")
         if self.precision not in _DTYPES:
-            raise ValueError(f"precision must be one of {sorted(_DTYPES)}")
+            raise ConfigError(("precision",), f"precision must be one of {sorted(_DTYPES)}")
         if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+            raise ConfigError(("seed",), f"seed must be non-negative, got {self.seed}")
 
     @property
     def dtype(self):

@@ -10,8 +10,10 @@ Every attention in the compressor is one :func:`attend`: queries attend
 into a context shared by every query row and, for the event stage's
 frame-conditioned cross-attention, each frame's own tokens.  The core
 scores the two key blocks separately and combines them by their row maxima
-and sums, so the shared block is never tiled over frames.  Every attention
-and FFN projection is one ``affine`` node, and the FFN adds a ``gelu``.
+and sums, so the shared block is never tiled over frames; a recorded core
+keeps no score-sized array, since its VJP recomputes the exps.  Every
+attention and FFN projection is one ``affine`` node, and the FFN adds a
+``gelu``.
 The projections and layer norm also take parameters that stack P probe
 values of the finite-difference sweep, one per part of the batch; that
 path is value-only.
@@ -160,17 +162,21 @@ def attention_core(
     frame's own keys and values, for a (B, Nq, Lq, D) ``q`` with Nq 1 (one
     query block for every frame) or N; the keys of frame n are then
     [k, k_own[:, n]].
-    Each block keeps its row max m, its exps and their row sum l; blocks
-    are combined as FlashAttention does (Dao et al., 2022), rescaling block
-    i by a_i = exp(m_i - max_j m_j):
+    Each block's exps give its row sum l and O = exps @ V and are then
+    dropped; blocks are combined as FlashAttention does (Dao et al., 2022),
+    rescaling block i by a_i = exp(m_i - max_j m_j), m_i its row max:
     out = sum_i a_i O_i / sum_i a_i l_i, with O_i = exps_i @ V_i.
 
     Returns the node of ``q``'s shape, with N query blocks when there is an
-    own block.  When recording, each block's exps become its softmax
-    weights in place, except where one query block's exps serve every frame;
-    those are scaled per frame in the VJP.  The one VJP loops over the
-    blocks; ``ad.unbroadcast`` sums the gradients of the shared block, and
-    of a query block shared by every frame, over the frames.
+    own block.  A recorded node keeps the head-split q/k/v, ``out``, the
+    combined row sum, the block factors and each block's row max m.  As in
+    FlashAttention's backward, the one VJP recomputes each block's exps
+    from q, k and m by the forward's own GEMM, subtraction and exp, and
+    scales them by a_i / sum_i a_i l_i into the softmax weights; the
+    weights, and so the gradients, are bit-identical to keeping the exps.
+    It loops over the blocks; ``ad.unbroadcast`` sums the gradients of the
+    shared block, and of a query block shared by every frame, over the
+    frames.
     """
     batch, dim = q.shape[0], q.shape[-1]
     head_dim = dim // heads
@@ -183,52 +189,62 @@ def attention_core(
         a = a.transpose(_MERGE_AXES[a.ndim])
         return a.reshape(a.shape[:-2] + (dim,))
 
-    def block(scores, vh):
-        """Row max, exps (in place of the scores), row sum and exps @ V."""
-        m = scores.max(axis=-1, keepdims=True)
+    def exps(qh, kh, m=None):
+        """m and exp(qh kh^T - m), in place of the scores; m is the scores'
+        row max unless given (the VJP gives the forward's)."""
+        scores = qh @ kh.swapaxes(-1, -2)
+        if m is None:
+            m = scores.max(axis=-1, keepdims=True)
         scores -= m
-        np.exp(scores, out=scores)
-        return m, scores, scores.sum(axis=-1, keepdims=True), scores @ vh
+        return m, np.exp(scores, out=scores)
+
+    def block(qh, kh, vh):
+        """Row max, row sum of the exps and exps @ V; the exps are dropped."""
+        m, e = exps(qh, kh)
+        return m, e.sum(axis=-1, keepdims=True), e @ vh
 
     qh = split(q.value)
     kh, vh = split(k.value), split(v.value)
     # the shared block: one GEMM per batch entry and head over every query row
-    stats = block(qh.reshape(batch, heads, -1, head_dim) @ kh.swapaxes(-1, -2), vh)
+    qs = qh.reshape(batch, heads, -1, head_dim)
+    m, denom, out_h = block(qs, kh, vh)
+    scored = [(qs, kh, m)]  # each block's score operands and row max, for the VJP's exps
     if q.ndim == 4:  # back to (B, heads, Nq, Lq, .); the shared keys broadcast over frames
-        stats = [a.reshape(qh.shape[:-1] + a.shape[-1:]) for a in stats]
+        m, denom, out_h = (a.reshape(qh.shape[:-1] + a.shape[-1:]) for a in (m, denom, out_h))
         kh, vh = kh[:, :, None], vh[:, :, None]
-    m, exps, denom, out_h = stats
-    blocks, parents = [(1.0, exps, kh, vh)], (q, k, v)
+    blocks, parents = [(1.0, kh, vh)], (q, k, v)
     if k_own is not None:
         krh, vrh = split(k_own.value), split(v_own.value)
-        m_r, e_r, l_r, o_r = block(qh @ krh.swapaxes(-1, -2), vrh)
+        m_r, l_r, o_r = block(qh, krh, vrh)
         m_max = np.maximum(m, m_r)
         a_s, a_r = np.exp(m - m_max), np.exp(m_r - m_max)
         denom = a_s * denom + a_r * l_r
         out_h = a_s * out_h + a_r * o_r
-        blocks = [(a_s, exps, kh, vh), (a_r, e_r, krh, vrh)]
+        scored.append((qh, krh, m_r))
+        blocks = [(a_s, kh, vh), (a_r, krh, vrh)]
         parents += (k_own, v_own)
     out_h = out_h / denom
     out = merge(out_h)
     if not ad.recording():
         return Node(out)
-    # the VJP reads each block's softmax weights, exps * a / denom
-    weights = []
-    for a, exps, kh, vh in blocks:
-        scale = a / denom
-        if scale.shape[:-1] == exps.shape[:-1]:
-            exps *= scale
-            scale = None
-        weights.append((exps, scale, kh, vh))
 
     def grads(g):
         gh = split(g)
         row = (gh * out_h).sum(axis=-1, keepdims=True)
         d_q, d_kv = [], []
-        for w, scale, kh, vh in weights:
-            if scale is not None:
+        for (a, kh, vh), (qb, kb, m) in zip(blocks, scored):
+            # the softmax weights exps * a / denom, from the forward's exps recomputed
+            w = exps(qb, kb, m)[1]
+            if w.ndim < qh.ndim:  # the shared block, scored over every query block at once
+                w = w.reshape(qh.shape[:-1] + w.shape[-1:])
+            scale = a / denom
+            if scale.shape[:-1] == w.shape[:-1]:
+                w *= scale
+            else:  # one query block's exps serve every frame
                 w = w * scale
-            d = w * (gh @ vh.swapaxes(-1, -2) - row)
+            d = gh @ vh.swapaxes(-1, -2)
+            d -= row
+            d *= w
             d_q.append(d @ kh)
             d_kv += [
                 ad.unbroadcast(d.swapaxes(-1, -2) @ qh, kh.shape),

@@ -6,7 +6,8 @@ sibling snapshot files referenced by relative path:
     frame <index> <time_seconds> <tensor_path>
     sentence <index> <t_start> <t_end> <tensor_path>
 
-Lines starting with '#' are comments.
+A record with more or fewer fields is an error.  Lines starting with '#'
+are comments.
 """
 
 from __future__ import annotations
@@ -19,6 +20,12 @@ import numpy as np
 from .goldenio import read_tensor, write_tensor
 from .kernels import check_finite
 from .sequence import AsrSentence, Frame, validate_frames, validate_sentences
+
+# each record kind's layout, one whitespace-separated field per word
+RECORDS = {
+    "frame": "frame <index> <time_seconds> <tensor_path>",
+    "sentence": "sentence <index> <t_start> <t_end> <tensor_path>",
+}
 
 
 def write_video(directory, frames: list[Frame], sentences: list[AsrSentence]) -> Path:
@@ -73,15 +80,18 @@ def read_video(manifest_path) -> tuple[list[Frame], list[AsrSentence]]:
         fields = line.split()
         kind = fields[0]
         try:
+            if kind not in RECORDS:
+                raise ValueError(f"unknown record kind {kind!r}")
+            expected = len(RECORDS[kind].split())
+            if len(fields) != expected:
+                raise ValueError(f"{len(fields)} fields, expected {expected}: {RECORDS[kind]}")
             if kind == "frame":
                 index, time_s, rel = int(fields[1]), float(fields[2]), fields[3]
                 frames.append(Frame(index, time_s, _read_finite(base / rel)))
-            elif kind == "sentence":
+            else:
                 index, start, end, rel = int(fields[1]), float(fields[2]), float(fields[3]), fields[4]
                 sentences.append(AsrSentence(index, start, end, _read_finite(base / rel)))
-            else:
-                raise ValueError(f"unknown record kind {kind!r}")
-        except (IndexError, ValueError) as exc:
+        except ValueError as exc:
             raise ValueError(f"{manifest_path}:{lineno}: malformed record: {exc}") from exc
     frames.sort(key=lambda f: f.index)
     sentences.sort(key=lambda s: s.index)

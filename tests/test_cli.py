@@ -366,10 +366,14 @@ def poison_tensor(path, value):
          ["video.manifest:5: malformed record: ", "sentence_00001.spat: magnitude 1e+39 exceeds 3.26e+18"]),
         (lambda m: m.write_text(m.read_text() + "scene 0 1.0 frame_00000.spat\n"),
          ["video.manifest:7: malformed record: unknown record kind 'scene'"]),
+        (lambda m: m.write_text(m.read_text().replace("frame_00000.spat", "frame_00000.spat trailing junk")),
+         ["video.manifest:2: malformed record: 6 fields, expected 4: frame <index> <time_seconds> <tensor_path>"]),
+        (lambda m: m.write_text(m.read_text().replace(" sentence_00002.spat", "")),
+         ["video.manifest:6: malformed record: 4 fields, expected 5: sentence <index> <t_start> <t_end> <tensor_path>"]),
     ],
     ids=["frame-time-nan", "frame-time-inf", "frame-time-1e6", "sentence-start-nan", "not-utf8",
          "frame-tensor-nan", "sentence-tensor-inf", "frame-tensor-1e300", "sentence-tensor-1e39",
-         "unknown-record"],
+         "unknown-record", "frame-extra-fields", "sentence-missing-field"],
 )
 def test_malformed_video_is_one_error_line(tmp_path, capsys, corrupt, fragments):
     frames, sentences = generate(SyntheticVideoSpec(3, 2, 2, 8, seed=4))
@@ -396,6 +400,8 @@ def test_malformed_video_is_one_error_line(tmp_path, capsys, corrupt, fragments)
         ("golden", COMPRESSOR_INI, "no [case:*] sections"),
         ("run", COMPRESSOR_INI + "precision = f16\n", "[compressor]: precision must be one of"),
         ("run", COMPRESSOR_INI + "seed = -1\n", "[compressor]: seed must be non-negative, got -1"),
+        ("run", COMPRESSOR_INI.replace("\nd = 8", "\nd = 0"), "[compressor]: model dim must be >= 1, got 0"),
+        ("run", COMPRESSOR_INI.replace("heads = 2", "heads = -2"), "[compressor]: head count must be >= 1, got -2"),
         ("golden", GOLDEN_CASE.replace("video_seed = 1", "video_seed = -2") + "video_frames = 2\n",
          "[case:toy]: video seed must be non-negative, got -2"),
         ("golden", GOLDEN_CASE.replace("video_sentences = 2", "video_sentences = 50") + "video_frames = 1\n",
@@ -403,7 +409,7 @@ def test_malformed_video_is_one_error_line(tmp_path, capsys, corrupt, fragments)
     ],
     ids=["missing-key", "bad-int", "no-header", "no-section", "unknown-key",
          "golden-missing-video-key", "golden-bad-video", "golden-no-case", "bad-precision",
-         "negative-seed", "golden-negative-video-seed", "golden-sentences-cannot-fit"],
+         "negative-seed", "zero-dim", "negative-heads", "golden-negative-video-seed", "golden-sentences-cannot-fit"],
 )
 def test_malformed_ini_is_one_error_line(tmp_path, capsys, command, text, named):
     path = tmp_path / "bad.ini"
@@ -555,7 +561,25 @@ def test_step_tolerance_and_video_seed_are_not_options(capsys, argv):
 def test_negative_seed_is_one_error_line(tmp_path, monkeypatch, capsys, command):
     monkeypatch.chdir(tmp_path)
     assert run_cli("--seed", "-1", *command) == 1
-    assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+    assert capsys.readouterr().err == "error: --seed: seed must be non-negative, got -1\n"
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--d", "0"], "--d: model dim must be >= 1, got 0"),
+        (["--heads", "-2"], "--heads: head count must be >= 1, got -2"),
+        (["--heads", "3"], "--d, --heads: heads (3) must divide model dim (8)"),
+        (["--s", "0", "--l-e", "0"], "--s, --l-e: scene/event/vision token counts and layer counts must be >= 1"),
+    ],
+)
+@pytest.mark.parametrize("command", [["run", "--manifest", "v.manifest", "--out", "o.spat"], ["gradcheck"], ["fit"]])
+def test_bad_model_value_names_its_flags(tmp_path, monkeypatch, capsys, command, flags, message):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*command, *flags) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+    assert not (tmp_path / "o.spat").exists()
 
 
 def test_unknown_subcommand_is_usage_error():

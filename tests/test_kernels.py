@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -190,6 +192,33 @@ class TestAttendSharedContext:
         p = attention_params(8, 2, rng)
         with pytest.raises(ValueError, match="mismatch|query blocks"):
             attend(Node(np.zeros(q_shape)), Node(np.zeros((2, 5, 8))), Node(np.zeros(own_shape)), p)
+
+    @pytest.mark.parametrize(
+        "q_shape,kv_shape,own_shape",
+        [((1, 64, 8), (1, 512, 8), None), ((1, 4, 16, 8), (1, 512, 8), (1, 4, 128, 8)),
+         ((1, 1, 16, 8), (1, 512, 8), (1, 4, 128, 8))],
+        ids=["one-block", "two-block-nq-n", "two-block-nq-1"],
+    )
+    def test_recorded_core_holds_no_score_sized_array(self, rng, q_shape, kv_shape, own_shape):
+        # the VJP recomputes each block's exps, so a recorded node keeps only
+        # row-sized statistics next to its inputs and output
+        heads = 2
+        q, k, v = (Node(rng.standard_normal(s)) for s in (q_shape, kv_shape, kv_shape))
+        own = (Node(rng.standard_normal(own_shape)), Node(rng.standard_normal(own_shape))) if own_shape else ()
+        # float64 scores: the shared block's, (1, heads, Nq * Lq, L), and the own block's, (1, heads, N, Lq, L_r)
+        blocks = [heads * int(np.prod(q_shape[:-1])) * kv_shape[1]]
+        if own_shape:
+            blocks.append(heads * own_shape[1] * q_shape[-2] * own_shape[2])
+        smallest_block = 8 * min(blocks)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = attention_core(q, k, v, heads, *own)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert out.parents
+        assert held < smallest_block / 4, f"{held} bytes held against a {smallest_block}-byte score block"
 
 
 class TestProject:
