@@ -303,6 +303,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # a model or video too large to allocate
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -1,4 +1,10 @@
-"""Central finite-difference verification of the analytic backward pass."""
+"""Central finite-difference verification of the analytic backward pass.
+
+The finite differences come from value-only staged forwards that rerun only
+the stages downstream of the checked group, each with the +STEP and -STEP
+probes of :func:`chunk_size` scalars stacked on one batch axis.  The chunk
+shrinks as the model's output grows, which bounds one forward's memory.
+"""
 
 from __future__ import annotations
 
@@ -19,10 +25,10 @@ TOLERANCE = 1e-4
 # the comparison degrades to scaled absolute error, which keeps benign
 # structural zeros from dividing by noise
 REL_ERR_FLOOR = 1e-4
-# scalars checked per probe-batched staged forward, whose batch holds
-# their +STEP and -STEP probes
-CHUNK = 16
-PROBES = 2 * CHUNK
+# scalars checked per probe-batched staged forward (see chunk_size): at
+# most MAX_CHUNK, and at most CHUNK_BUDGET output values per sign
+MAX_CHUNK = 64
+CHUNK_BUDGET = 2**17
 
 
 @dataclass
@@ -41,49 +47,70 @@ def relative_error(analytic: float, numeric: float) -> float:
     return abs(analytic - numeric) / max(abs(analytic) + abs(numeric), REL_ERR_FLOOR)
 
 
-def batched_losses(model: SpaCompressor, x: PreparedInput, cached: StageOutputs, group: str) -> np.ndarray:
-    """The (+STEP, -STEP) losses of every scalar of ``group``, CHUNK
-    scalars per staged forward at batch PROBES.
+def chunk_size(out: int, scalars: int) -> int:
+    """Scalars checked per staged forward, for a group of ``scalars``
+    scalars when one probe's output holds ``out`` values.
 
-    Every parameter of the group holds PROBES values, stacked on its
+    A toy model gets up to MAX_CHUNK, since its forward is mostly fixed
+    Python cost.  A larger one gets at most CHUNK_BUDGET // ``out``, so a
+    forward's output stays near 2 * CHUNK_BUDGET values, and its
+    activations, which also grow with the probe batch times the model's
+    size, stay bounded.  The group is then split into that many forwards
+    of equal size, so the last one is not a mostly idle full batch.
+    """
+    most = max(1, min(MAX_CHUNK, CHUNK_BUDGET // out))
+    forwards = -(-scalars // most)
+    return -(-scalars // forwards)
+
+
+def batched_losses(model: SpaCompressor, x: PreparedInput, cached: StageOutputs, group: str) -> np.ndarray:
+    """The (+STEP, -STEP) losses of every scalar of ``group``, ``chunk``
+    scalars per staged forward at batch ``probes`` = 2 * ``chunk``, with
+    ``chunk`` from :func:`chunk_size` of the group's size and one probe's
+    output width, (S + N * (1 + E)) * D.
+
+    Every parameter of the group holds ``probes`` values, stacked on its
     leading axis: row 2j holds scalar j of the chunk at +STEP, row 2j + 1
     at -STEP, and every other row the original value.  The cached stage
     outputs and the prepared inputs are read-only views broadcast to batch
-    PROBES, so batch entry i meets probe i in ``kernels._probe_split``, in
+    ``probes``, so batch entry i meets probe i in ``kernels._probe_split``, in
     the query banks and in ``time_encoder.encode_timestamp``, whose (P, D)
     stamps ``SpaCompressor.assemble`` gives one per batch entry.  Each
     probe's loss is its batch entry's sum, the same float computation as a
-    full forward with that one perturbation.  The original arrays are put
-    back when the sweep ends, also if a stage raises.
+    full forward with that one perturbation, whatever the chunk size.  The
+    original arrays are put back when the sweep ends, also if a stage raises.
     """
+    nodes = [node for _, node in model.parameter_groups()[group]]
+    originals = [node.value for node in nodes]
+    scalars = [(i, k) for i, value in enumerate(originals) for k in range(value.size)]
+    _, n_frames, n_events, d = cached.events.shape
+    chunk = chunk_size((cached.scene.shape[1] + n_frames * (1 + n_events)) * d, len(scalars))
+    probes = 2 * chunk
 
     def batch(node: Node) -> Node:
-        return Node(np.broadcast_to(node.value, (PROBES,) + node.shape[1:]))
+        return Node(np.broadcast_to(node.value, (probes,) + node.shape[1:]))
 
     bx = PreparedInput(x.frames, batch(x.asr), batch(x.vision), x.sequence)
     bcached = StageOutputs(
         batch(cached.fused), batch(cached.vision_flat), batch(cached.scene), batch(cached.events), cached.timestamps
     )
-    nodes = [node for _, node in model.parameter_groups()[group]]
-    originals = [node.value for node in nodes]
-    probes = [np.repeat(value[None], PROBES, axis=0) for value in originals]
-    rows = [probe.reshape(PROBES, -1) for probe in probes]  # views: (probe, flat index)
-    scalars = [(i, k) for i, value in enumerate(originals) for k in range(value.size)]
+    stacked = [np.repeat(value[None], probes, axis=0) for value in originals]
+    rows = [probe.reshape(probes, -1) for probe in stacked]  # views: (probe, flat index)
     losses = np.empty((len(scalars), 2))
     try:
-        for node, probe in zip(nodes, probes):
+        for node, probe in zip(nodes, stacked):
             node.value = probe.reshape((-1,) + probe.shape[2:])
-        for start in range(0, len(scalars), CHUNK):
-            chunk = scalars[start : start + CHUNK]
-            for j, (i, k) in enumerate(chunk):
+        for start in range(0, len(scalars), chunk):
+            part = scalars[start : start + chunk]
+            for j, (i, k) in enumerate(part):
                 original = originals[i].flat[k]
                 rows[i][2 * j, k] = original + STEP
                 rows[i][2 * j + 1, k] = original - STEP
             out = model.run_stages(bx, model.DOWNSTREAM[group], bcached)
             flat = model.assemble(out.scene, out.events, out.timestamps).flattened.value
-            sums = flat.reshape(PROBES, -1).sum(axis=1).reshape(CHUNK, 2)
-            losses[start : start + len(chunk)] = sums[: len(chunk)]
-            for j, (i, k) in enumerate(chunk):
+            sums = flat.reshape(probes, -1).sum(axis=1).reshape(chunk, 2)
+            losses[start : start + len(part)] = sums[: len(part)]
+            for j, (i, k) in enumerate(part):
                 rows[i][2 * j : 2 * j + 2, k] = originals[i].flat[k]
     finally:
         for node, value in zip(nodes, originals):
@@ -104,8 +131,10 @@ def finite_difference_check(
     Each finite-difference loss reruns, value-only, only the stages
     downstream of the perturbed group and reuses the others' outputs, so it
     is the same float computation as a full forward.  Every group runs
-    CHUNK scalars' probes per staged forward (:func:`batched_losses`); the
-    probe axis exists only on this value-only path.
+    the probes of :func:`chunk_size` scalars per staged forward
+    (:func:`batched_losses`); the probe axis exists only on this value-only
+    path.  A non-finite error, from a NaN or infinite gradient or loss, is
+    its group's worst and fails it, naming the first such scalar.
     Float64 models only: at ``STEP``, float32 round-off swamps the
     difference.  An unknown group in ``freeze`` is a ``ValueError``.
     """
@@ -145,6 +174,9 @@ def finite_difference_check(
             for label, grad, (plus, minus) in zip(labels, analytic, losses):
                 numeric = (float(plus) - float(minus)) / (2.0 * STEP)
                 err = relative_error(float(grad), numeric)
+                if not np.isfinite(err):
+                    worst_err, worst_param = err, label
+                    break
                 if err > worst_err:
                     worst_err, worst_param = err, label
             reports.append(GroupReport(group, len(labels), worst_err, worst_param))

@@ -1,8 +1,13 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spa_compressor
 from spa_compressor.cli import TOY, main
 from spa_compressor.compressor import MODES, CompressorConfig, SpaCompressor
 from spa_compressor.goldenio import read_tensor, write_tensor
@@ -580,6 +585,24 @@ def test_bad_model_value_names_its_flags(tmp_path, monkeypatch, capsys, command,
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n" and captured.out == ""
     assert not (tmp_path / "o.spat").exists()
+
+
+def test_model_too_large_to_allocate_is_one_error_line():
+    # a 1e6-wide model needs a 7.28 TiB weight; the 4 GiB address-space cap
+    # refuses it at once, whatever the host's overcommit policy
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2**32, 2**32))\n"
+        "from spa_compressor.cli import main\n"
+        "sys.exit(main(['gradcheck', '--d', '1000000', '--heads', '1']))\n"
+    )
+    src = str(Path(spa_compressor.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: out of memory: Unable to allocate 7.28 TiB")
+    assert done.stderr.count("\n") == 1
 
 
 def test_unknown_subcommand_is_usage_error():

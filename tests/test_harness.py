@@ -5,16 +5,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spa_compressor import autodiff, compressor
+from spa_compressor import autodiff, compressor, gradcheck
 from spa_compressor.autodiff import Node
 from spa_compressor.compressor import MODE_FRAME, MODE_GLOBAL, CompressorConfig, SpaCompressor
 from spa_compressor.fitting import FitConfig, fit
 from spa_compressor.golden import emit, load_manifest, verify
 from spa_compressor.goldenio import read_tensor, write_tensor
 from spa_compressor.gradcheck import (
-    CHUNK,
     STEP,
     batched_losses,
+    chunk_size,
     finite_difference_check,
 )
 from spa_compressor.manifest import read_video, write_video
@@ -122,6 +122,46 @@ class TestGradcheck:
         reports = finite_difference_check(model, frames, sentences)
         assert [r.name for r in reports if not r.passed()] == ["time_encoder"]
 
+    def test_non_finite_gradient_fails_the_check(self, monkeypatch):
+        # a NaN gradient makes every relative error it touches NaN, which
+        # compares False against any bound: it must fail its group, not be
+        # skipped as smaller than the worst finite error
+        true_gelu = autodiff.gelu
+
+        def nan_gelu(a):
+            node = true_gelu(a)
+            bad = tuple(lambda g, f=f: f(g) * np.nan for f in node.vjps)
+            return Node(node.value, node.parents, bad)
+
+        monkeypatch.setattr(autodiff, "gelu", nan_gelu)
+        frames, sentences = generate(SyntheticVideoSpec(**TINY_VIDEO))
+        model = SpaCompressor(CompressorConfig(**TINY_CONFIG))
+        reports = {r.name: r for r in finite_difference_check(model, frames, sentences)}
+        assert [name for name, r in reports.items() if not r.passed()] == ["fusion", "scene", "event"]
+        for name in ("fusion", "scene", "event"):
+            assert math.isnan(reports[name].max_rel_err)
+            first = model.parameter_groups()[name][0][0]
+            assert reports[name].worst_param == f"{first}[0]"
+        assert math.isfinite(reports["time_encoder"].max_rel_err)
+
+    def test_probe_losses_do_not_depend_on_the_chunk_size(self, monkeypatch):
+        # each probe's loss is its own batch entry's sum, so the rule's chunk,
+        # one scalar per forward and a chunk that leaves a partial last chunk
+        # in every group give the same bits
+        frames, sentences = generate(SyntheticVideoSpec(**TOY_VIDEO))
+        model = SpaCompressor(CompressorConfig(**TOY_CONFIG))
+        x = model.prepare_input(frames, sentences)
+        partial = 5
+        with autodiff.no_grad():
+            cached = model.run_stages(x)
+            for group, named in model.parameter_groups().items():
+                assert sum(node.value.size for _, node in named) % partial != 0, group
+                by_rule = batched_losses(model, x, cached, group)
+                for chunk in (1, partial):
+                    monkeypatch.setattr(gradcheck, "chunk_size", lambda out, scalars, chunk=chunk: chunk)
+                    assert np.array_equal(batched_losses(model, x, cached, group), by_rule), (group, chunk)
+                    monkeypatch.undo()
+
     @pytest.mark.parametrize("freeze", [("events",), ("fusion", "timestamps")])
     def test_unknown_freeze_group_is_rejected(self, freeze):
         frames, sentences = generate(SyntheticVideoSpec(**TINY_VIDEO))
@@ -172,22 +212,24 @@ class TestGradcheck:
 
         with autodiff.no_grad():
             cached = model.run_stages(x)
+            out = model.assemble(cached.scene, cached.events, cached.timestamps).flattened.value.size
         for group, named in model.parameter_groups().items():
             scalars = [(name, node, k) for name, node in named for k in range(node.value.size)]
+            chunk = chunk_size(out, len(scalars))
             with autodiff.no_grad():
                 losses = batched_losses(model, x, cached, group)
             assert losses.shape == (len(scalars), 2)
             # every row of two batched runs: the last chunk, which leaves rows
             # at the original values when the group's size is not a multiple of
-            # CHUNK, and the first whose scalars span two tensors (for the time
-            # encoder, embed -> w_update)
-            last = (len(scalars) - 1) // CHUNK * CHUNK
+            # the chunk, and the first whose scalars span two tensors (for the
+            # time encoder, embed -> w_update)
+            last = (len(scalars) - 1) // chunk * chunk
             spanning = next(
-                start for start in range(0, len(scalars), CHUNK)
-                if len({id(node) for _, node, _ in scalars[start : start + CHUNK]}) == 2
+                start for start in range(0, len(scalars), chunk)
+                if len({id(node) for _, node, _ in scalars[start : start + chunk]}) == 2
             )
             for start in sorted({spanning, last}):
-                for t in range(start, min(start + CHUNK, len(scalars))):
+                for t in range(start, min(start + chunk, len(scalars))):
                     name, node, k = scalars[t]
                     for column, delta in enumerate((STEP, -STEP)):
                         with perturbed(node, k, delta):
