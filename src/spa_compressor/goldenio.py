@@ -61,9 +61,11 @@ def read_tensor(path) -> np.ndarray:
 
 def first_divergence(a: np.ndarray, b: np.ndarray, tolerance: float):
     """Index and values of the first element pair of two same-shape arrays
-    differing beyond ``tolerance``, or None if the arrays match."""
-    diff = np.abs(a - b)
-    bad = np.argwhere(diff > tolerance)
+    differing beyond ``tolerance``, or None if the arrays match.  A NaN
+    difference, from a NaN or from infinities, is a divergence."""
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, handled below
+        diff = np.abs(a - b)
+    bad = np.argwhere(~(diff <= tolerance))
     if bad.size == 0:
         return None
     idx = tuple(int(i) for i in bad[0])

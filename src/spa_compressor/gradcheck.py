@@ -63,11 +63,14 @@ def chunk_size(out: int, scalars: int) -> int:
     return -(-scalars // forwards)
 
 
-def batched_losses(model: SpaCompressor, x: PreparedInput, cached: StageOutputs, group: str) -> np.ndarray:
-    """The (+STEP, -STEP) losses of every scalar of ``group``, ``chunk``
-    scalars per staged forward at batch ``probes`` = 2 * ``chunk``, with
-    ``chunk`` from :func:`chunk_size` of the group's size and one probe's
-    output width, (S + N * (1 + E)) * D.
+def batched_losses(
+    model: SpaCompressor, x: PreparedInput, cached: StageOutputs, group: str, scalars: list[tuple[int, int]]
+) -> np.ndarray:
+    """The (+STEP, -STEP) losses of the ``scalars`` of ``group``, one row
+    each: a pair (i, k) is flat index k of the group's i-th parameter.
+    They run ``chunk`` scalars per staged forward at batch ``probes`` =
+    2 * ``chunk``, with ``chunk`` from :func:`chunk_size` of their count
+    and one probe's output width, (S + N * (1 + E)) * D.
 
     Every parameter of the group holds ``probes`` values, stacked on its
     leading axis: row 2j holds scalar j of the chunk at +STEP, row 2j + 1
@@ -82,7 +85,6 @@ def batched_losses(model: SpaCompressor, x: PreparedInput, cached: StageOutputs,
     """
     nodes = [node for _, node in model.parameter_groups()[group]]
     originals = [node.value for node in nodes]
-    scalars = [(i, k) for i, value in enumerate(originals) for k in range(value.size)]
     _, n_frames, n_events, d = cached.events.shape
     chunk = chunk_size((cached.scene.shape[1] + n_frames * (1 + n_events)) * d, len(scalars))
     probes = 2 * chunk
@@ -167,7 +169,8 @@ def finite_difference_check(
                 n = sum(node.value.size for _, node in named)
                 reports.append(GroupReport(group, n, 0.0, "(frozen)", frozen=True))
                 continue
-            losses = batched_losses(model, x, cached, group)
+            scalars = [(i, k) for i, (_, node) in enumerate(named) for k in range(node.value.size)]
+            losses = batched_losses(model, x, cached, group, scalars)
             labels = [f"{name}[{k}]" for name, node in named for k in range(node.value.size)]
             analytic = np.concatenate([analytic_grads[id(node)].reshape(-1) for _, node in named])
             worst_err, worst_param = 0.0, ""

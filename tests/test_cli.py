@@ -542,6 +542,16 @@ class TestGoldenCommand:
         out = capsys.readouterr().out
         assert "toy_f64: ok" in out
 
+    def test_nan_golden_fails(self, tmp_path, capsys):
+        assert run_cli("golden", "emit", "--manifest", str(GOLDEN_MANIFEST), "--dir", str(tmp_path)) == 0
+        path = tmp_path / "toy_f64.spat"
+        write_tensor(path, np.full_like(read_tensor(path), np.nan))
+        capsys.readouterr()
+        assert run_cli("golden", "verify", "--manifest", str(GOLDEN_MANIFEST), "--dir", str(tmp_path)) == 1
+        out = capsys.readouterr().out
+        assert "toy_f64: FAIL (first divergence at (0, 0, 0): stored nan vs recomputed " in out
+        assert "toy_f64_shared_context: ok" in out
+
     def test_verify_without_files_fails(self, tmp_path, capsys):
         assert run_cli("golden", "verify", "--manifest", str(GOLDEN_MANIFEST),
                        "--dir", str(tmp_path)) == 1

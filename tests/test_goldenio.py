@@ -86,3 +86,15 @@ def test_first_divergence_reports_first_index(rng):
     idx, va, vb = first_divergence(a, b, 1e-10)
     assert idx == (0, 1)
     assert va != vb
+
+
+@pytest.mark.parametrize(
+    "stored, fresh", [(np.nan, 1.0), (1.0, np.nan), (np.inf, np.inf), (-np.inf, np.inf)], ids=["nan-stored", "nan-fresh", "inf", "inf-sign"]
+)
+def test_non_finite_values_diverge(stored, fresh):
+    # a NaN difference compares False against the tolerance; it must not pass
+    a, b = np.zeros((2, 3)), np.zeros((2, 3))
+    a[1, 1], b[1, 1] = stored, fresh
+    idx, va, vb = first_divergence(a, b, 1e-10)
+    assert idx == (1, 1)
+    assert np.array_equal([va, vb], [stored, fresh], equal_nan=True)

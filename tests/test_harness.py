@@ -7,15 +7,17 @@ import pytest
 
 from spa_compressor import autodiff, compressor, gradcheck
 from spa_compressor.autodiff import Node
-from spa_compressor.compressor import MODE_FRAME, MODE_GLOBAL, CompressorConfig, SpaCompressor
+from spa_compressor.compressor import MODE_FRAME, MODE_GLOBAL, MODES, CompressorConfig, SpaCompressor
 from spa_compressor.fitting import FitConfig, fit
 from spa_compressor.golden import emit, load_manifest, verify
 from spa_compressor.goldenio import read_tensor, write_tensor
 from spa_compressor.gradcheck import (
     STEP,
+    TOLERANCE,
     batched_losses,
     chunk_size,
     finite_difference_check,
+    relative_error,
 )
 from spa_compressor.manifest import read_video, write_video
 from spa_compressor.sequence import validate_frames, validate_sentences
@@ -31,6 +33,54 @@ TINY_CONFIG = dict(
     scene_layers=1, event_layers=1, vision_tokens_per_frame=1, seed=5,
 )
 TINY_VIDEO = dict(n_frames=2, n_sentences=1, vision_tokens_per_frame=1, dim=4, seed=2)
+# the paper's attention shapes at a Tier-1 cost: 8 heads of width 8, two
+# layers per stage, and event queries with one block per frame
+PAPER_WIDTH_CONFIG = dict(
+    dim=64, heads=8, scene_tokens=8, event_tokens=8,
+    scene_layers=2, event_layers=2, vision_tokens_per_frame=4, seed=7,
+)
+PAPER_WIDTH_VIDEO = dict(n_frames=3, n_sentences=2, vision_tokens_per_frame=4, dim=64, seed=3)
+SAMPLED_PER_TENSOR = 16
+
+
+def gelu_with_scaled_vjp(factor):
+    """``autodiff.gelu`` with its vector-Jacobian product scaled by ``factor``."""
+    true_gelu = autodiff.gelu
+
+    def gelu(a):
+        node = true_gelu(a)
+        return Node(node.value, node.parents, tuple(lambda g, f=f: factor * f(g) for f in node.vjps))
+
+    return gelu
+
+
+def sampled_fd_errors(mode: str) -> dict[str, dict[str, float]]:
+    """Each group's relative errors, by scalar label, at SAMPLED_PER_TENSOR
+    scalars of every parameter tensor of the paper-width model, drawn with
+    a fixed seed per group; the losses come from the sweep's
+    ``batched_losses``."""
+    frames, sentences = generate(SyntheticVideoSpec(**PAPER_WIDTH_VIDEO))
+    model = SpaCompressor(CompressorConfig(**PAPER_WIDTH_CONFIG, mode=mode))
+    grads = autodiff.backward(autodiff.reduce_sum(model.forward(frames, sentences).flattened))
+    x = model.prepare_input(frames, sentences)
+    errors = {}
+    with autodiff.no_grad():
+        cached = model.run_stages(x)
+        for group, named in model.parameter_groups().items():
+            rng = np.random.default_rng(0)
+            scalars = [
+                (i, int(k))
+                for i, (_, node) in enumerate(named)
+                for k in np.sort(rng.choice(node.value.size, SAMPLED_PER_TENSOR, replace=False))
+            ]
+            losses = batched_losses(model, x, cached, group, scalars)
+            errors[group] = {
+                f"{named[i][0]}[{k}]": relative_error(
+                    float(autodiff.grad_of(grads, named[i][1]).flat[k]), (plus - minus) / (2.0 * STEP)
+                )
+                for (i, k), (plus, minus) in zip(scalars, losses)
+            }
+    return errors
 
 
 class TestSynthetic:
@@ -88,14 +138,7 @@ class TestGradcheck:
     def test_corrupted_backward_fails_the_check(self, monkeypatch):
         # negative control: scale the GELU vector-Jacobian product and the
         # analytic gradients must stop matching finite differences
-        true_gelu = autodiff.gelu
-
-        def corrupted_gelu(a):
-            node = true_gelu(a)
-            bad = tuple(lambda g, f=f: 1.01 * f(g) for f in node.vjps)
-            return Node(node.value, node.parents, bad)
-
-        monkeypatch.setattr(autodiff, "gelu", corrupted_gelu)
+        monkeypatch.setattr(autodiff, "gelu", gelu_with_scaled_vjp(1.01))
         frames, sentences = generate(SyntheticVideoSpec(**TINY_VIDEO))
         model = SpaCompressor(CompressorConfig(**TINY_CONFIG))
         reports = finite_difference_check(model, frames, sentences)
@@ -126,14 +169,7 @@ class TestGradcheck:
         # a NaN gradient makes every relative error it touches NaN, which
         # compares False against any bound: it must fail its group, not be
         # skipped as smaller than the worst finite error
-        true_gelu = autodiff.gelu
-
-        def nan_gelu(a):
-            node = true_gelu(a)
-            bad = tuple(lambda g, f=f: f(g) * np.nan for f in node.vjps)
-            return Node(node.value, node.parents, bad)
-
-        monkeypatch.setattr(autodiff, "gelu", nan_gelu)
+        monkeypatch.setattr(autodiff, "gelu", gelu_with_scaled_vjp(np.nan))
         frames, sentences = generate(SyntheticVideoSpec(**TINY_VIDEO))
         model = SpaCompressor(CompressorConfig(**TINY_CONFIG))
         reports = {r.name: r for r in finite_difference_check(model, frames, sentences)}
@@ -143,6 +179,19 @@ class TestGradcheck:
             first = model.parameter_groups()[name][0][0]
             assert reports[name].worst_param == f"{first}[0]"
         assert math.isfinite(reports["time_encoder"].max_rel_err)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_paper_width_sample_passes(self, mode):
+        for group, errors in sampled_fd_errors(mode).items():
+            worst = max(errors, key=errors.get)
+            assert all(err < TOLERANCE for err in errors.values()), f"{group}: {errors[worst]} at {worst}"
+
+    def test_corrupted_backward_fails_the_paper_width_sample(self, monkeypatch):
+        # the cheaper mode: the control shows the sample can fail, in every GELU group
+        monkeypatch.setattr(autodiff, "gelu", gelu_with_scaled_vjp(1.01))
+        errors = sampled_fd_errors(MODE_GLOBAL)
+        failed = [group for group, errs in errors.items() if not all(err < TOLERANCE for err in errs.values())]
+        assert failed == ["fusion", "scene", "event"]
 
     def test_probe_losses_do_not_depend_on_the_chunk_size(self, monkeypatch):
         # each probe's loss is its own batch entry's sum, so the rule's chunk,
@@ -155,11 +204,12 @@ class TestGradcheck:
         with autodiff.no_grad():
             cached = model.run_stages(x)
             for group, named in model.parameter_groups().items():
-                assert sum(node.value.size for _, node in named) % partial != 0, group
-                by_rule = batched_losses(model, x, cached, group)
+                scalars = [(i, k) for i, (_, node) in enumerate(named) for k in range(node.value.size)]
+                assert len(scalars) % partial != 0, group
+                by_rule = batched_losses(model, x, cached, group, scalars)
                 for chunk in (1, partial):
                     monkeypatch.setattr(gradcheck, "chunk_size", lambda out, scalars, chunk=chunk: chunk)
-                    assert np.array_equal(batched_losses(model, x, cached, group), by_rule), (group, chunk)
+                    assert np.array_equal(batched_losses(model, x, cached, group, scalars), by_rule), (group, chunk)
                     monkeypatch.undo()
 
     @pytest.mark.parametrize("freeze", [("events",), ("fusion", "timestamps")])
@@ -214,10 +264,10 @@ class TestGradcheck:
             cached = model.run_stages(x)
             out = model.assemble(cached.scene, cached.events, cached.timestamps).flattened.value.size
         for group, named in model.parameter_groups().items():
-            scalars = [(name, node, k) for name, node in named for k in range(node.value.size)]
+            scalars = [(i, k) for i, (_, node) in enumerate(named) for k in range(node.value.size)]
             chunk = chunk_size(out, len(scalars))
             with autodiff.no_grad():
-                losses = batched_losses(model, x, cached, group)
+                losses = batched_losses(model, x, cached, group, scalars)
             assert losses.shape == (len(scalars), 2)
             # every row of two batched runs: the last chunk, which leaves rows
             # at the original values when the group's size is not a multiple of
@@ -226,11 +276,12 @@ class TestGradcheck:
             last = (len(scalars) - 1) // chunk * chunk
             spanning = next(
                 start for start in range(0, len(scalars), chunk)
-                if len({id(node) for _, node, _ in scalars[start : start + chunk]}) == 2
+                if len({i for i, _ in scalars[start : start + chunk]}) == 2
             )
             for start in sorted({spanning, last}):
                 for t in range(start, min(start + chunk, len(scalars))):
-                    name, node, k = scalars[t]
+                    i, k = scalars[t]
+                    name, node = named[i]
                     for column, delta in enumerate((STEP, -STEP)):
                         with perturbed(node, k, delta):
                             full = full_loss()
