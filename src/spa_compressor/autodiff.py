@@ -234,32 +234,34 @@ def mul(a, b) -> Node:
     )
 
 
-def affine(x, w, b) -> Node:
+def affine(x, w, b=None) -> Node:
     """``x @ w + b`` as one node, for ``x`` of rank >= 2, 2-D weights ``w``
-    and a bias ``b`` that broadcasts over the rows.
+    and a bias ``b`` that broadcasts over the rows; with no ``b``, ``x @ w``
+    over the two parents ``(x, w)``.
 
     ``b`` is added in the product's buffer, so the result keeps ``x @ w``'s
     dtype where ``x @ w + b`` would promote; every caller passes one dtype,
     so the values are those of ``x @ w + b``.  The weight VJPs fold the
     leading axes of ``x`` into the rows of one 2-D GEMM per gradient.
     """
-    x, w, b = as_node(x), as_node(w), as_node(b)
+    x, w = as_node(x), as_node(w)
     if x.ndim < 2 or w.ndim != 2:
         raise ValueError(f"affine expects an input of rank >= 2 and 2-D weights, got {x.shape} @ {w.shape}")
     out = x.value @ w.value
-    out += b.value
+    parents = (x, w)
+    if b is not None:
+        b = as_node(b)
+        out += b.value
+        parents += (b,)
     if not _recording:
         return Node(out)
     k, n = w.shape
-    return Node(
-        out,
-        (x, w, b),
-        (
-            lambda g: (g.reshape(-1, n) @ w.value.T).reshape(x.value.shape),
-            lambda g: x.value.reshape(-1, k).T @ g.reshape(-1, n),
-            lambda g: unbroadcast(g, b.value.shape),
-        ),
+    vjps = (
+        lambda g: (g.reshape(-1, n) @ w.value.T).reshape(x.value.shape),
+        lambda g: x.value.reshape(-1, k).T @ g.reshape(-1, n),
+        lambda g: unbroadcast(g, b.value.shape),
     )
+    return Node(out, parents, vjps[: len(parents)])
 
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)

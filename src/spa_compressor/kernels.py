@@ -99,13 +99,16 @@ def layer_norm(x: Node, p: LayerNormParams) -> Node:
 
 @dataclass
 class AttentionParams:
+    """The q, k, v and output projections.  The key projection has no bias:
+    it would add q_i . b_k to every score of query row i, a per-row
+    constant that softmax cancels, so no output could depend on it."""
+
     heads: int
     wq: Node
     wk: Node
     wv: Node
     wo: Node
     bq: Node
-    bk: Node
     bv: Node
     bo: Node
 
@@ -113,8 +116,9 @@ class AttentionParams:
 def attention_params(dim: int, heads: int, rng: np.random.Generator, dtype=np.float64) -> AttentionParams:
     bound = 1.0 / np.sqrt(dim)
     weights = [_param(rng, (dim, dim), bound, dtype) for _ in range(4)]
-    biases = [_param(rng, (dim,), bound, dtype) for _ in range(4)]
-    return AttentionParams(heads, *weights, *biases)
+    # the key bias's draw is kept and discarded, so every later parameter keeps its seeded value
+    bq, _, bv, bo = (_param(rng, (dim,), bound, dtype) for _ in range(4))
+    return AttentionParams(heads, *weights, bq, bv, bo)
 
 
 def _probe_split(x: np.ndarray, stacked: np.ndarray, shape: tuple) -> tuple[np.ndarray, np.ndarray]:
@@ -133,15 +137,19 @@ def _probe_split(x: np.ndarray, stacked: np.ndarray, shape: tuple) -> tuple[np.n
     return parts, stacked.reshape((p,) + (1,) * (parts.ndim - 1 - len(shape)) + shape)
 
 
-def _project(x: Node, w: Node, b: Node) -> Node:
-    """``x @ w + b`` as one ``affine`` node.  A ``w`` with P times x's width
-    in rows, and a ``b`` of P*n entries, stack P probe values (see
-    :func:`_probe_split`); that path is value-only and returns a leaf."""
+def _project(x: Node, w: Node, b: Node | None) -> Node:
+    """``x @ w + b``, or ``x @ w`` with no ``b``, as one ``affine`` node.  A
+    ``w`` with P times x's width in rows, and a ``b`` of P*n entries, stack
+    P probe values (see :func:`_probe_split`); that path is value-only and
+    returns a leaf."""
     k, n = x.shape[-1], w.shape[-1]
     if w.shape[0] == k:
         return ad.affine(x, w, b)
     parts, ws = _probe_split(x.value, w.value, (k, n))
-    return Node((parts @ ws + b.value.reshape(ws.shape[:-2] + (1, n))).reshape(x.shape[:-1] + (n,)))
+    out = parts @ ws
+    if b is not None:
+        out += b.value.reshape(ws.shape[:-2] + (1, n))
+    return Node(out.reshape(x.shape[:-1] + (n,)))
 
 
 # head split and merge transposes by the rank of the split array
@@ -265,7 +273,8 @@ def attend(q: Node, shared: Node, own: Node | None, p: AttentionParams) -> Node:
     Softmax runs over the keys with scale 1/sqrt(head_dim), applied to the
     projected queries; no mask.  Each context is projected once, so the
     shared one is never tiled over frames, and the q, k, v and output
-    projections are ``affine`` nodes around :func:`attention_core`.
+    projections are ``affine`` nodes around :func:`attention_core`; the
+    key projection has no bias (see :class:`AttentionParams`).
     """
     if q.ndim not in (3, 4) or shared.ndim != 3:
         raise ValueError(
@@ -286,7 +295,7 @@ def attend(q: Node, shared: Node, own: Node | None, p: AttentionParams) -> Node:
     for context in contexts:
         if context is not q:
             check_finite(context.value, "attention key/value input")
-    keys_values = [_project(c, w, b) for c in contexts for w, b in ((p.wk, p.bk), (p.wv, p.bv))]
+    keys_values = [_project(c, w, b) for c in contexts for w, b in ((p.wk, None), (p.wv, p.bv))]
     scale = 1.0 / np.sqrt(q.shape[-1] // p.heads)
     out = attention_core(_project(q, p.wq, p.bq) * scale, *keys_values[:2], p.heads, *keys_values[2:])
     return _project(out, p.wo, p.bo)

@@ -143,7 +143,7 @@ def test_oracle_equivalence():
                 expected = naive_attention(
                     q, kv, heads,
                     p.wq.value, p.wk.value, p.wv.value, p.wo.value,
-                    p.bq.value, p.bk.value, p.bv.value, p.bo.value,
+                    bq=p.bq.value, bv=p.bv.value, bo=p.bo.value,
                 )
                 got = cross_attention(Node(q), Node(kv), p).value
             else:

@@ -64,6 +64,7 @@ OPS = [
     (lambda x, w, b: ad.affine(x, w, b), [(3, 4), (4, 5), (5,)]),
     (lambda x, w, b: ad.affine(x, w, b), [(2, 3, 4), (4, 5), (5,)]),  # batched vs shared
     (lambda x, w, b: ad.affine(x, w, b), [(2, 2, 3, 4), (4, 5), (5,)]),  # two batch axes vs shared
+    (lambda x, w: ad.affine(x, w), [(2, 3, 4), (4, 5)]),  # no bias: the key projection
     (lambda a: ad.gelu(a), [(4, 3)]),
     (lambda a: ad.reduce_sum(a) * a, [(3, 4)]),
     (lambda a: ad.reduce_mean(a) - a, [(2, 5)]),

@@ -49,7 +49,7 @@ def np_attention(x, kv, p):
     return naive_attention(
         x, kv, p.heads,
         p.wq.value, p.wk.value, p.wv.value, p.wo.value,
-        p.bq.value, p.bk.value, p.bv.value, p.bo.value,
+        bq=p.bq.value, bv=p.bv.value, bo=p.bo.value,
     )
 
 
@@ -359,7 +359,7 @@ class TestParameters:
         model = SpaCompressor(toy_config(
             dim=d, scene_tokens=s, event_tokens=e, scene_layers=l_s, event_layers=l_e, mode=mode,
         ))
-        norm, attention, ffn = 2 * d, 4 * d * d + 4 * d, 8 * d * d + 5 * d
+        norm, attention, ffn = 2 * d, 4 * d * d + 3 * d, 8 * d * d + 5 * d  # attention: no key bias
         expected = {
             "fusion": 3 * norm + attention + ffn,
             "scene": s * d + norm + l_s * (2 * norm + attention + ffn),

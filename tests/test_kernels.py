@@ -27,7 +27,7 @@ def np_params(p: AttentionParams):
     return dict(
         heads=p.heads,
         wq=p.wq.value, wk=p.wk.value, wv=p.wv.value, wo=p.wo.value,
-        bq=p.bq.value, bk=p.bk.value, bv=p.bv.value, bo=p.bo.value,
+        bq=p.bq.value, bv=p.bv.value, bo=p.bo.value,
     )
 
 
