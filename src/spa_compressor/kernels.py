@@ -99,10 +99,6 @@ def layer_norm(x: Node, p: LayerNormParams) -> Node:
 
 @dataclass
 class AttentionParams:
-    """The q, k, v and output projections.  The key projection has no bias:
-    it would add q_i . b_k to every score of query row i, a per-row
-    constant that softmax cancels, so no output could depend on it."""
-
     heads: int
     wq: Node
     wk: Node
@@ -116,7 +112,8 @@ class AttentionParams:
 def attention_params(dim: int, heads: int, rng: np.random.Generator, dtype=np.float64) -> AttentionParams:
     bound = 1.0 / np.sqrt(dim)
     weights = [_param(rng, (dim, dim), bound, dtype) for _ in range(4)]
-    # the key bias's draw is kept and discarded, so every later parameter keeps its seeded value
+    # no key bias: it adds q_i . b_k to every score of query row i, which softmax
+    # cancels; its draw is discarded so that later parameters keep their values
     bq, _, bv, bo = (_param(rng, (dim,), bound, dtype) for _ in range(4))
     return AttentionParams(heads, *weights, bq, bv, bo)
 
@@ -274,7 +271,7 @@ def attend(q: Node, shared: Node, own: Node | None, p: AttentionParams) -> Node:
     projected queries; no mask.  Each context is projected once, so the
     shared one is never tiled over frames, and the q, k, v and output
     projections are ``affine`` nodes around :func:`attention_core`; the
-    key projection has no bias (see :class:`AttentionParams`).
+    key projection has no bias (see :func:`attention_params`).
     """
     if q.ndim not in (3, 4) or shared.ndim != 3:
         raise ValueError(

@@ -1,3 +1,4 @@
+import functools
 import math
 from contextlib import contextmanager
 from pathlib import Path
@@ -54,16 +55,21 @@ def gelu_with_scaled_vjp(factor):
     return gelu
 
 
-def sampled_fd_errors(mode: str) -> dict[str, dict[str, float]]:
-    """Each group's relative errors, by scalar label, at SAMPLED_PER_TENSOR
-    scalars of every parameter tensor of the paper-width model, drawn with
-    a fixed seed per group; the losses come from the sweep's
-    ``batched_losses``."""
+def paper_width_setup(mode: str):
     frames, sentences = generate(SyntheticVideoSpec(**PAPER_WIDTH_VIDEO))
-    model = SpaCompressor(CompressorConfig(**PAPER_WIDTH_CONFIG, mode=mode))
-    grads = autodiff.backward(autodiff.reduce_sum(model.forward(frames, sentences).flattened))
+    return SpaCompressor(CompressorConfig(**PAPER_WIDTH_CONFIG, mode=mode)), frames, sentences
+
+
+@functools.cache
+def sampled_losses(mode: str) -> dict[str, tuple[list[tuple[int, int]], np.ndarray]]:
+    """Each group's sample, SAMPLED_PER_TENSOR scalars of every parameter
+    tensor of the paper-width model drawn with a fixed seed per group, and
+    their (+STEP, -STEP) losses from the sweep's ``batched_losses``.  The
+    losses are value-only, so a corrupted VJP leaves them as they are, and
+    the negative control reuses them."""
+    model, frames, sentences = paper_width_setup(mode)
     x = model.prepare_input(frames, sentences)
-    errors = {}
+    samples = {}
     with autodiff.no_grad():
         cached = model.run_stages(x)
         for group, named in model.parameter_groups().items():
@@ -73,14 +79,25 @@ def sampled_fd_errors(mode: str) -> dict[str, dict[str, float]]:
                 for i, (_, node) in enumerate(named)
                 for k in np.sort(rng.choice(node.value.size, SAMPLED_PER_TENSOR, replace=False))
             ]
-            losses = batched_losses(model, x, cached, group, scalars)
-            errors[group] = {
-                f"{named[i][0]}[{k}]": relative_error(
-                    float(autodiff.grad_of(grads, named[i][1]).flat[k]), (plus - minus) / (2.0 * STEP)
-                )
-                for (i, k), (plus, minus) in zip(scalars, losses)
-            }
-    return errors
+            samples[group] = scalars, batched_losses(model, x, cached, group, scalars)
+    return samples
+
+
+def sampled_fd_errors(mode: str) -> dict[str, dict[str, float]]:
+    """Each group's relative errors, by scalar label, between the analytic
+    gradient and the central difference at the scalars of :func:`sampled_losses`."""
+    model, frames, sentences = paper_width_setup(mode)
+    grads = autodiff.backward(autodiff.reduce_sum(model.forward(frames, sentences).flattened))
+    groups = model.parameter_groups()
+    return {
+        group: {
+            f"{groups[group][i][0]}[{k}]": relative_error(
+                float(autodiff.grad_of(grads, groups[group][i][1]).flat[k]), (plus - minus) / (2.0 * STEP)
+            )
+            for (i, k), (plus, minus) in zip(scalars, losses)
+        }
+        for group, (scalars, losses) in sampled_losses(mode).items()
+    }
 
 
 class TestSynthetic:
@@ -187,7 +204,7 @@ class TestGradcheck:
             assert all(err < TOLERANCE for err in errors.values()), f"{group}: {errors[worst]} at {worst}"
 
     def test_corrupted_backward_fails_the_paper_width_sample(self, monkeypatch):
-        # the cheaper mode: the control shows the sample can fail, in every GELU group
+        # every group with a GELU must fail; the finite differences are those of the passing test
         monkeypatch.setattr(autodiff, "gelu", gelu_with_scaled_vjp(1.01))
         errors = sampled_fd_errors(MODE_GLOBAL)
         failed = [group for group, errs in errors.items() if not all(err < TOLERANCE for err in errs.values())]
