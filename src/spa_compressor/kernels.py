@@ -9,11 +9,14 @@ the op-by-op graph it fuses, so its values are bit-identical to that graph.
 Every attention in the compressor is one :func:`attend`: queries attend
 into a context shared by every query row and, for the event stage's
 frame-conditioned cross-attention, each frame's own tokens.  The core
-scores the two key blocks separately and combines them by their row maxima
-and sums, so the shared block is never tiled over frames; a recorded core
-keeps no score-sized array, since its VJP recomputes the exps.  Every
-attention and FFN projection is one ``affine`` node, and the FFN adds a
-``gelu``.
+scales the queries by 1/sqrt(head_dim) itself and scores the two key
+blocks separately, so the shared block is never tiled over frames.  It
+bounds every score by |q_h| |k_h| per head: where that stays below
+``SHIFT_FREE`` it takes exp of the scores with no row-max shift and sums
+the blocks, and otherwise it shifts each block by its row max and combines
+them by their maxima and sums.  A recorded core keeps no score-sized
+array, since its VJP recomputes the exps.  Every attention and FFN
+projection is one ``affine`` node, and the FFN adds a ``gelu``.
 The projections and layer norm also take parameters that stack P probe
 values of the finite-difference sweep, one per part of the batch; that
 path is value-only.
@@ -153,14 +156,48 @@ def _project(x: Node, w: Node, b: Node | None) -> Node:
 _SPLIT_AXES = {4: (0, 2, 1, 3), 5: (0, 3, 1, 2, 4)}
 _MERGE_AXES = {4: (0, 2, 1, 3), 5: (0, 2, 3, 1, 4)}
 
+# Softmax needs no row-max shift where no score can reach SHIFT_FREE in
+# magnitude.  By Cauchy-Schwarz a score of head h is at most |q_h| |k_h|, the
+# norms of that head's slices of a scaled query row and a key row.  Below
+# SHIFT_FREE, exp of a score lies in [e^-16, e^16], about [1.1e-7, 8.9e6], far
+# inside float32's normal range [1.2e-38, 3.4e38]; a row sum of L exps is at
+# most 8.9e6 L and exps @ V at most 8.9e6 L max|V|, so float32 holds both for
+# any L and |V| under about 3.8e31 / L.
+SHIFT_FREE = 16.0
+
+
+def _shifted_entries(q: np.ndarray, keys: list, heads: int) -> np.ndarray | None:
+    """The batch entries whose scores may reach SHIFT_FREE, as a boolean
+    array over the batch axis, or None when there is none.
+
+    An entry needs the shift unless, for every head, the largest squared
+    norm of its query rows times that of its key rows, over every key
+    block, is below SHIFT_FREE^2.  One product of the largest norms over
+    the whole batch settles the common case in which no entry needs it.
+    The squares are summed in float64 without a temporary of q's size, and
+    cannot overflow from float32 inputs.
+    """
+
+    def square_norms(a):  # (B, rows, heads)
+        a = a.reshape(a.shape[0], -1, heads, a.shape[-1] // heads)
+        return np.einsum("brhc,brhc->brh", a, a, dtype=np.float64)
+
+    q2, k2 = square_norms(q), [square_norms(k) for k in keys]
+    if q2.max(initial=0.0) * max(k.max(initial=0.0) for k in k2) < SHIFT_FREE**2:
+        return None
+    bound = q2.max(axis=1, initial=0.0) * np.maximum.reduce([k.max(axis=1, initial=0.0) for k in k2])
+    shifted = ~(bound < SHIFT_FREE**2).all(axis=1)
+    return shifted if shifted.any() else None
+
 
 def attention_core(
     q: Node, k: Node, v: Node, heads: int, k_own: Node | None = None, v_own: Node | None = None
 ) -> Node:
-    """softmax(q k^T) v per head as one node: head split, scores, softmax
-    over the keys, weighted sum and head merge.
+    """softmax(q k^T / sqrt(head_dim)) v per head as one node: query scale,
+    head split, scores, softmax over the keys, weighted sum and head merge.
 
-    ``q`` (B, Lq, D) or (B, Nq, Lq, D) holds the queries, already scaled.
+    ``q`` (B, Lq, D) or (B, Nq, Lq, D) holds the projected queries, which
+    the core scales by 1/sqrt(head_dim) itself.
     ``k``/``v`` (B, L, D) are a key/value block shared by every query row;
     it is scored by one GEMM per batch entry and head over all of them, and
     never tiled.  ``k_own``/``v_own`` (B, N, L_r, D), if given, are each
@@ -168,23 +205,31 @@ def attention_core(
     query block for every frame) or N; the keys of frame n are then
     [k, k_own[:, n]].
     Each block's exps give its row sum l and O = exps @ V and are then
-    dropped; blocks are combined as FlashAttention does (Dao et al., 2022),
-    rescaling block i by a_i = exp(m_i - max_j m_j), m_i its row max:
-    out = sum_i a_i O_i / sum_i a_i l_i, with O_i = exps_i @ V_i.
+    dropped.  Where no score can reach SHIFT_FREE (see
+    :func:`_shifted_entries`), the exps are exp(q k^T) with no row-max
+    shift, and the blocks combine as out = sum_i O_i / sum_i l_i, in place
+    in the own block's arrays.  Otherwise the safe softmax runs: each block
+    is shifted by its row max m_i, zeroed on the batch entries that need
+    no shift, and the blocks are combined as FlashAttention does (Dao et
+    al., 2022), rescaling block i by a_i = exp(m_i - max_j m_j):
+    out = sum_i a_i O_i / sum_i a_i l_i.  A zeroed m makes every a_i 1, so
+    each batch entry's values are bit-identical to those of its own call.
 
     Returns the node of ``q``'s shape, with N query blocks when there is an
-    own block.  A recorded node keeps the head-split q/k/v, ``out``, the
-    combined row sum, the block factors and each block's row max m.  As in
-    FlashAttention's backward, the one VJP recomputes each block's exps
-    from q, k and m by the forward's own GEMM, subtraction and exp, and
-    scales them by a_i / sum_i a_i l_i into the softmax weights; the
-    weights, and so the gradients, are bit-identical to keeping the exps.
+    own block.  A recorded node keeps the head-split scaled q and the k/v,
+    ``out`` and the combined row sum; the shifted path keeps each block's
+    row max m and factor a_i too.  As in FlashAttention's backward, the one
+    VJP recomputes each block's exps from q, k and m by the forward's own
+    GEMM, subtraction and exp, and scales them by a_i / sum_i a_i l_i into
+    the softmax weights; the weights, and so the gradients, are
+    bit-identical to keeping the exps.
     It loops over the blocks; ``ad.unbroadcast`` sums the gradients of the
     shared block, and of a query block shared by every frame, over the
     frames.
     """
     batch, dim = q.shape[0], q.shape[-1]
     head_dim = dim // heads
+    q_scale = np.asarray(1.0 / np.sqrt(head_dim), dtype=q.value.dtype)
 
     def split(a):  # (B, ..., L, D) -> (B, heads, ..., L, head_dim)
         a = a.reshape(a.shape[:-1] + (heads, head_dim))
@@ -195,12 +240,16 @@ def attention_core(
         return a.reshape(a.shape[:-2] + (dim,))
 
     def exps(qh, kh, m=None):
-        """m and exp(qh kh^T - m), in place of the scores; m is the scores'
-        row max unless given (the VJP gives the forward's)."""
+        """m and exp(qh kh^T - m), in place of the scores.  The VJP gives
+        the forward's m; the forward takes the row max, zeroed on the
+        entries that need no shift, and subtracts nothing (m None) when no
+        entry needs one."""
         scores = qh @ kh.swapaxes(-1, -2)
-        if m is None:
+        if m is None and shifted is not None:
             m = scores.max(axis=-1, keepdims=True)
-        scores -= m
+            m[~shifted] = 0.0
+        if m is not None:
+            scores -= m
         return m, np.exp(scores, out=scores)
 
     def block(qh, kh, vh):
@@ -208,27 +257,38 @@ def attention_core(
         m, e = exps(qh, kh)
         return m, e.sum(axis=-1, keepdims=True), e @ vh
 
-    qh = split(q.value)
+    q_scaled = q.value * q_scale
+    keys = [k.value] if k_own is None else [k.value, k_own.value]
+    shifted = _shifted_entries(q_scaled, keys, heads)
+    qh = split(q_scaled)
     kh, vh = split(k.value), split(v.value)
     # the shared block: one GEMM per batch entry and head over every query row
     qs = qh.reshape(batch, heads, -1, head_dim)
     m, denom, out_h = block(qs, kh, vh)
     scored = [(qs, kh, m)]  # each block's score operands and row max, for the VJP's exps
     if q.ndim == 4:  # back to (B, heads, Nq, Lq, .); the shared keys broadcast over frames
-        m, denom, out_h = (a.reshape(qh.shape[:-1] + a.shape[-1:]) for a in (m, denom, out_h))
+        denom, out_h = (a.reshape(qh.shape[:-1] + a.shape[-1:]) for a in (denom, out_h))
+        if m is not None:
+            m = m.reshape(denom.shape)
         kh, vh = kh[:, :, None], vh[:, :, None]
     blocks, parents = [(1.0, kh, vh)], (q, k, v)
     if k_own is not None:
         krh, vrh = split(k_own.value), split(v_own.value)
         m_r, l_r, o_r = block(qh, krh, vrh)
-        m_max = np.maximum(m, m_r)
-        a_s, a_r = np.exp(m - m_max), np.exp(m_r - m_max)
-        denom = a_s * denom + a_r * l_r
-        out_h = a_s * out_h + a_r * o_r
+        if shifted is None:
+            l_r += denom
+            o_r += out_h
+            denom, out_h = l_r, o_r
+            blocks.append((1.0, krh, vrh))
+        else:
+            m_max = np.maximum(m, m_r)
+            a_s, a_r = np.exp(m - m_max), np.exp(m_r - m_max)
+            denom = a_s * denom + a_r * l_r
+            out_h = a_s * out_h + a_r * o_r
+            blocks = [(a_s, kh, vh), (a_r, krh, vrh)]
         scored.append((qh, krh, m_r))
-        blocks = [(a_s, kh, vh), (a_r, krh, vrh)]
         parents += (k_own, v_own)
-    out_h = out_h / denom
+    out_h /= denom
     out = merge(out_h)
     if not ad.recording():
         return Node(out)
@@ -256,7 +316,9 @@ def attention_core(
                 ad.unbroadcast(w.swapaxes(-1, -2) @ gh, vh.shape),
             ]
         d_all = [ad.unbroadcast(sum(d_q[1:], d_q[0]), qh.shape)] + d_kv
-        return tuple(merge(d).reshape(p.shape) for d, p in zip(d_all, parents))
+        d_all = [merge(d).reshape(p.shape) for d, p in zip(d_all, parents)]
+        d_all[0] *= q_scale  # through the query scale
+        return tuple(d_all)
 
     return Node(out, parents, ad.shared_vjps(grads, len(parents)))
 
@@ -267,11 +329,12 @@ def attend(q: Node, shared: Node, own: Node | None, p: AttentionParams) -> Node:
     query row and, if given, each frame's ``own`` tokens (B, N, L_r, D), for
     a (B, Nq, Lq, D) ``q`` with Nq 1 or N; frame n reads [shared, own[:, n]].
 
-    Softmax runs over the keys with scale 1/sqrt(head_dim), applied to the
-    projected queries; no mask.  Each context is projected once, so the
-    shared one is never tiled over frames, and the q, k, v and output
-    projections are ``affine`` nodes around :func:`attention_core`; the
-    key projection has no bias (see :func:`attention_params`).
+    Softmax runs over the keys with scale 1/sqrt(head_dim), which
+    :func:`attention_core` applies to the projected queries; no mask.  Each
+    context is projected once, so the shared one is never tiled over
+    frames, and the q, k, v and output projections are ``affine`` nodes
+    around :func:`attention_core`; the key projection has no bias (see
+    :func:`attention_params`).
     """
     if q.ndim not in (3, 4) or shared.ndim != 3:
         raise ValueError(
@@ -293,8 +356,7 @@ def attend(q: Node, shared: Node, own: Node | None, p: AttentionParams) -> Node:
         if context is not q:
             check_finite(context.value, "attention key/value input")
     keys_values = [_project(c, w, b) for c in contexts for w, b in ((p.wk, None), (p.wv, p.bv))]
-    scale = 1.0 / np.sqrt(q.shape[-1] // p.heads)
-    out = attention_core(_project(q, p.wq, p.bq) * scale, *keys_values[:2], p.heads, *keys_values[2:])
+    out = attention_core(_project(q, p.wq, p.bq), *keys_values[:2], p.heads, *keys_values[2:])
     return _project(out, p.wo, p.bo)
 
 

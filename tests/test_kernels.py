@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from oracles import naive_attention, naive_ffn, naive_layer_norm, scalar_gelu
 
 from spa_compressor import autodiff as ad
+from spa_compressor import kernels
 from spa_compressor.autodiff import Node
 from spa_compressor.kernels import (
     AttentionParams,
@@ -24,11 +26,39 @@ from spa_compressor.kernels import (
 
 
 def np_params(p: AttentionParams):
+    """The oracle's keyword arguments: ``p``'s values in float64."""
     return dict(
         heads=p.heads,
-        wq=p.wq.value, wk=p.wk.value, wv=p.wv.value, wo=p.wo.value,
-        bq=p.bq.value, bv=p.bv.value, bo=p.bo.value,
+        **{name: getattr(p, name).value.astype(np.float64) for name in ("wq", "wk", "wv", "wo", "bq", "bv", "bo")},
     )
+
+
+# input scales: at 1 the bound |q_h| |k_h| of every attention input below is
+# at most 5.5, under kernels.SHIFT_FREE, so attention_core skips the row-max
+# shift; at 6 it is at least 20, so the core takes the row-max fallback (the
+# shift_paths fixture checks which path ran)
+LOGIT_SCALES = {"unshifted": 1.0, "shifted": 6.0}
+
+
+@pytest.fixture
+def shift_paths(monkeypatch):
+    """Records, for each attention_core call, whether it shifted any entry."""
+    seen = []
+    decide = kernels._shifted_entries
+
+    def spy(*args):
+        shifted = decide(*args)
+        seen.append(shifted is not None)
+        return shifted
+
+    monkeypatch.setattr(kernels, "_shifted_entries", spy)
+    return seen
+
+
+def assert_matches_oracle(got, want):
+    """float64 ``got`` to 1e-12; float32 to 1e-5 of the largest value of ``want``."""
+    atol = 1e-12 if got.dtype == np.float64 else 1e-5 * np.abs(want).max()
+    np.testing.assert_allclose(got, want, rtol=0, atol=atol)
 
 
 class TestLayerNorm:
@@ -86,13 +116,20 @@ class TestAttention:
         out = attention_core(q, k, v, heads=4)
         np.testing.assert_allclose(out.value, 1.0, rtol=0, atol=1e-12)
 
-    def test_matches_naive_loop_oracle(self, rng):
-        p = attention_params(4, 2, rng)
-        q = rng.standard_normal((1, 2, 4))
-        kv = rng.standard_normal((1, 3, 4))
-        expected = naive_attention(q, kv, **np_params(p))
-        got = cross_attention(Node(q), Node(kv), p).value
-        np.testing.assert_allclose(got, expected, atol=1e-10)
+    def test_matches_naive_loop_oracle(self, rng, shift_paths):
+        # the core alone is the oracle with identity projections, since it scales the queries
+        eye = np.eye(4)
+        for dtype, logits in itertools.product((np.float64, np.float32), LOGIT_SCALES):
+            p = attention_params(4, 2, rng, dtype)
+            q = (rng.standard_normal((1, 2, 4)) * LOGIT_SCALES[logits]).astype(dtype)
+            kv = (rng.standard_normal((1, 3, 4)) * LOGIT_SCALES[logits]).astype(dtype)
+            q64, kv64 = q.astype(np.float64), kv.astype(np.float64)
+            got = cross_attention(Node(q), Node(kv), p).value
+            assert_matches_oracle(got, naive_attention(q64, kv64, **np_params(p)))
+            got = attention_core(Node(q), Node(kv), Node(kv), heads=2).value
+            assert_matches_oracle(got, naive_attention(q64, kv64, 2, eye, eye, eye, eye))
+            assert shift_paths == [logits == "shifted"] * 2, (dtype, logits)
+            shift_paths.clear()
 
     @pytest.mark.parametrize("seed", range(10))
     def test_randomized_instances_match_oracle(self, seed):
@@ -153,26 +190,56 @@ class TestAttention:
 
 
 class TestAttendSharedContext:
-    def test_matches_cross_attention_on_materialized_context(self, rng):
+    def test_matches_cross_attention_on_materialized_context(self, rng, shift_paths):
         # two batch entries of three frames each; the query block is shared
         # by every frame (Nq = 1) or is each frame's own (Nq = 3)
+        eye = np.eye(8)
+        for dtype, logits in itertools.product((np.float64, np.float32), LOGIT_SCALES):
+            p = attention_params(8, 2, rng, dtype)
+            shared = (rng.standard_normal((2, 5, 8)) * LOGIT_SCALES[logits]).astype(dtype)
+            own = (rng.standard_normal((2, 3, 2, 8)) * LOGIT_SCALES[logits]).astype(dtype)
+            context = np.concatenate([np.repeat(shared[:, None], 3, axis=1), own], axis=2).reshape(6, 7, 8)
+            for n_q in (1, 3):
+                q = (rng.standard_normal((2, n_q, 4, 8)) * LOGIT_SCALES[logits]).astype(dtype)
+                rows = np.broadcast_to(q, (2, 3, 4, 8)).reshape(6, 4, 8)
+                rows64, context64 = rows.astype(np.float64), context.astype(np.float64)
+
+                got = attention_core(
+                    Node(q), Node(shared), Node(2.0 * shared), 2, Node(own), Node(2.0 * own)
+                ).value.reshape(6, 4, 8)
+                want = attention_core(Node(rows), Node(context), Node(2.0 * context), heads=2).value
+                assert_matches_oracle(got, want.astype(np.float64))
+                assert_matches_oracle(got, naive_attention(rows64, context64, 2, eye, eye, 2.0 * eye, eye))
+
+                got = attend(Node(q), Node(shared), Node(own), p).value.reshape(6, 4, 8)
+                want = cross_attention(Node(rows), Node(context), p).value
+                assert_matches_oracle(got, want.astype(np.float64))
+                assert_matches_oracle(got, naive_attention(rows64, context64, **np_params(p)))
+            assert set(shift_paths) == {logits == "shifted"}, (dtype, logits)
+            shift_paths.clear()
+
+    def test_a_safe_entry_keeps_its_values_next_to_a_shifted_one(self, rng, shift_paths):
+        # entry 0 needs no row-max shift and entry 1 does; the batched call
+        # shifts entry 1 only, so entry 0's output and query gradient are
+        # bit-identical to its own call's, and entry 1 still matches the oracle
         p = attention_params(8, 2, rng)
-        shared = rng.standard_normal((2, 5, 8))
-        own = rng.standard_normal((2, 3, 2, 8))
-        context = np.concatenate([np.repeat(shared[:, None], 3, axis=1), own], axis=2).reshape(6, 7, 8)
+        scales = np.array([1.0, LOGIT_SCALES["shifted"]]).reshape(2, 1, 1, 1)
+        shared = rng.standard_normal((2, 5, 8)) * scales[:, 0]
+        own = rng.standard_normal((2, 3, 2, 8)) * scales
         for n_q in (1, 3):
-            q = rng.standard_normal((2, n_q, 4, 8))
-            q_rows = Node(np.broadcast_to(q, (2, 3, 4, 8)).reshape(6, 4, 8))
-
-            got = attention_core(
-                Node(q), Node(shared), Node(2.0 * shared), 2, Node(own), Node(2.0 * own)
-            ).value
-            want = attention_core(q_rows, Node(context), Node(2.0 * context), heads=2).value
-            np.testing.assert_allclose(got.reshape(6, 4, 8), want, rtol=0, atol=1e-12)
-
-            got = attend(Node(q), Node(shared), Node(own), p).value
-            want = cross_attention(q_rows, Node(context), p).value
-            np.testing.assert_allclose(got.reshape(6, 4, 8), want, rtol=0, atol=1e-12)
+            q = rng.standard_normal((2, n_q, 4, 8)) * scales
+            runs = []
+            for entries in (slice(0, 2), slice(0, 1)):
+                qn = Node(q[entries])
+                out = attend(qn, Node(shared[entries]), Node(own[entries]), p)
+                runs.append((out.value, ad.grad_of(ad.backward(ad.reduce_sum(out)), qn)))
+            (both, grad_both), (alone, grad_alone) = runs
+            np.testing.assert_array_equal(both[:1], alone)
+            np.testing.assert_array_equal(grad_both[:1], grad_alone)
+            context = np.concatenate([np.repeat(shared[1:, None], 3, axis=1), own[1:]], axis=2)[0]
+            want = naive_attention(np.broadcast_to(q[1], (3, 4, 8)), context, **np_params(p))
+            np.testing.assert_allclose(both[1], want, rtol=0, atol=1e-12)
+        assert shift_paths == [True, False] * 2
 
     def test_query_blocks_without_own_context_match_the_3d_call(self, rng):
         # the global-context event path: (B, 1, Lq, D) queries, shared context only
@@ -298,27 +365,33 @@ class TestKernelGradients:
         gx = ad.grad_of(grads, x)
         np.testing.assert_allclose(gx.sum(axis=-1), 0.0, atol=1e-12)
 
-    def test_attention_gradients(self, rng):
-        p = attention_params(4, 2, rng)
-        q = Node(rng.standard_normal((1, 2, 4)))
-        kv = Node(rng.standard_normal((1, 3, 4)))
-        self.fd_check(
-            ad.named_parameters(p) + [("q", q), ("kv", kv)],
-            lambda: cross_attention(q, kv, p),
-        )
+    def test_attention_gradients(self, rng, shift_paths):
+        for logits, scale in LOGIT_SCALES.items():
+            p = attention_params(4, 2, rng)
+            q = Node(rng.standard_normal((1, 2, 4)) * scale)
+            kv = Node(rng.standard_normal((1, 3, 4)) * scale)
+            self.fd_check(
+                ad.named_parameters(p) + [("q", q), ("kv", kv)],
+                lambda: cross_attention(q, kv, p),
+            )
+            assert set(shift_paths) == {logits == "shifted"}, logits
+            shift_paths.clear()
 
-    def test_attend_gradients_through_shared_and_per_frame_context(self, rng):
+    def test_attend_gradients_through_shared_and_per_frame_context(self, rng, shift_paths):
         # the shared context feeds every frame, so its gradient sums over
         # them, and so does the gradient of a query block shared by all frames
-        p = attention_params(4, 2, rng)
-        shared = Node(rng.standard_normal((2, 2, 4)))
-        frames = Node(rng.standard_normal((2, 3, 2, 4)))
-        for n_q in (1, 3):
-            q = Node(rng.standard_normal((2, n_q, 2, 4)))
-            self.fd_check(
-                ad.named_parameters(p) + [("shared", shared), ("frames", frames), ("q", q)],
-                lambda: attend(q, shared, frames, p),
-            )
+        for logits, scale in LOGIT_SCALES.items():
+            p = attention_params(4, 2, rng)
+            shared = Node(rng.standard_normal((2, 2, 4)) * scale)
+            frames = Node(rng.standard_normal((2, 3, 2, 4)) * scale)
+            for n_q in (1, 3):
+                q = Node(rng.standard_normal((2, n_q, 2, 4)) * scale)
+                self.fd_check(
+                    ad.named_parameters(p) + [("shared", shared), ("frames", frames), ("q", q)],
+                    lambda: attend(q, shared, frames, p),
+                )
+            assert set(shift_paths) == {logits == "shifted"}, logits
+            shift_paths.clear()
 
     def test_ffn_gradients(self, rng):
         p = ffn_params(3, rng)
