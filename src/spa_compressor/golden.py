@@ -38,14 +38,16 @@ def load_manifest(path) -> list[GoldenCase]:
     for section in parser.sections():
         if not section.startswith("case:"):
             continue
-        sec, where = parser[section], f"{path} [{section}]"
+        sec, where, name = parser[section], f"{path} [{section}]", section.removeprefix("case:")
+        if name in ("", ".", "..") or "/" in name or "\\" in name:  # the name is a file stem under --dir
+            raise ValueError(f"{where}: case name {name!r} is not a plain file name")
         config = CompressorConfig.from_section(sec, where, extra=VIDEO_KEYS)
         frames, sentences, seed = (ini_value(sec, key, int, where) for key in VIDEO_KEYS)
         try:
             video = SyntheticVideoSpec(frames, sentences, config.vision_tokens_per_frame, config.dim, seed=seed)
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
-        cases.append(GoldenCase(section.removeprefix("case:"), config, video))
+        cases.append(GoldenCase(name, config, video))
     if not cases:
         raise ValueError(f"{path}: no [case:*] sections in golden manifest")
     return cases

@@ -4,6 +4,8 @@ The finite differences come from value-only staged forwards that rerun only
 the stages downstream of the checked group, each with the +STEP and -STEP
 probes of :func:`chunk_size` scalars stacked on one batch axis.  The chunk
 shrinks as the model's output grows, which bounds one forward's memory.
+A group's relative errors are computed as one array, and only its worst
+scalar is named.
 """
 
 from __future__ import annotations
@@ -43,8 +45,10 @@ class GroupReport:
         return self.frozen or self.max_rel_err < TOLERANCE
 
 
-def relative_error(analytic: float, numeric: float) -> float:
-    return abs(analytic - numeric) / max(abs(analytic) + abs(numeric), REL_ERR_FLOOR)
+# elementwise, for arrays or scalars, and as silent as Python floats: inf / inf is NaN
+@np.errstate(invalid="ignore", over="ignore")
+def relative_error(analytic, numeric):
+    return np.abs(analytic - numeric) / np.maximum(np.abs(analytic) + np.abs(numeric), REL_ERR_FLOOR)
 
 
 def chunk_size(out: int, scalars: int) -> int:
@@ -130,31 +134,31 @@ def finite_difference_check(
     differences for every scalar parameter, grouped by compressor stage.
 
     Frozen groups are skipped and flagged; they receive no gradient flow.
-    Each finite-difference loss reruns, value-only, only the stages
-    downstream of the perturbed group and reuses the others' outputs, so it
-    is the same float computation as a full forward.  Every group runs
-    the probes of :func:`chunk_size` scalars per staged forward
-    (:func:`batched_losses`); the probe axis exists only on this value-only
-    path.  A non-finite error, from a NaN or infinite gradient or loss, is
-    its group's worst and fails it, naming the first such scalar.
-    Float64 models only: at ``STEP``, float32 round-off swamps the
-    difference.  An unknown group in ``freeze`` is a ``ValueError``.
+    The finite-difference losses come from :func:`batched_losses`, the same
+    float computation as a full forward.  A group's report holds its largest
+    relative error and names that scalar, the first one on a tie.  A
+    non-finite error, from a NaN or infinite gradient or loss, is its
+    group's worst and fails it, naming the first such scalar.  Float64
+    models only: at ``STEP``, float32 round-off swamps the difference.  An
+    unknown group in ``freeze``, or a ``freeze`` of every group, is a
+    ``ValueError``.
     """
     for group in freeze:
         if group not in model.DOWNSTREAM:
             raise ValueError(
                 f"unknown parameter group {group!r}; expected one of {', '.join(model.DOWNSTREAM)}"
             )
+    if set(model.DOWNSTREAM) <= set(freeze):
+        raise ValueError(f"every parameter group is frozen ({', '.join(model.DOWNSTREAM)}); nothing to check")
     if model.config.precision != "f64":
         raise ValueError(
             f"finite-difference gradcheck needs precision f64, got {model.config.precision}"
         )
     result = model.forward(frames, sentences)
     grads = ad.backward(ad.reduce_sum(result.flattened))
-    analytic_grads = {
-        id(node): np.array(grads.get(id(node), np.zeros_like(node.value)))
-        for _, named in model.parameter_groups().items()
-        for _, node in named
+    analytic = {
+        group: np.concatenate([grads.get(id(node), np.zeros_like(node.value)).reshape(-1) for _, node in named])
+        for group, named in model.parameter_groups().items() if group not in freeze
     }
     # free the recorded graph before the finite-difference sweep; it holds
     # no reference cycles, so dropping these references frees it
@@ -171,16 +175,10 @@ def finite_difference_check(
                 continue
             scalars = [(i, k) for i, (_, node) in enumerate(named) for k in range(node.value.size)]
             losses = batched_losses(model, x, cached, group, scalars)
-            labels = [f"{name}[{k}]" for name, node in named for k in range(node.value.size)]
-            analytic = np.concatenate([analytic_grads[id(node)].reshape(-1) for _, node in named])
-            worst_err, worst_param = 0.0, ""
-            for label, grad, (plus, minus) in zip(labels, analytic, losses):
-                numeric = (float(plus) - float(minus)) / (2.0 * STEP)
-                err = relative_error(float(grad), numeric)
-                if not np.isfinite(err):
-                    worst_err, worst_param = err, label
-                    break
-                if err > worst_err:
-                    worst_err, worst_param = err, label
-            reports.append(GroupReport(group, len(labels), worst_err, worst_param))
+            errors = relative_error(analytic[group], (losses[:, 0] - losses[:, 1]) / (2.0 * STEP))
+            # the first non-finite error, else the first largest; none if every error is 0
+            worst = int(np.argmax(np.where(np.isfinite(errors), errors, np.inf)))
+            i, k = scalars[worst]
+            label = f"{named[i][0]}[{k}]" if errors[worst] != 0 else ""
+            reports.append(GroupReport(group, len(scalars), float(errors[worst]), label))
     return reports

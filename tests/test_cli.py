@@ -411,10 +411,16 @@ def test_malformed_video_is_one_error_line(tmp_path, capsys, corrupt, fragments)
          "[case:toy]: video seed must be non-negative, got -2"),
         ("golden", GOLDEN_CASE.replace("video_sentences = 2", "video_sentences = 50") + "video_frames = 1\n",
          "[case:toy]: 50 sentences cannot fit a 1.0s video"),
+        # a case name is the file stem of its golden under --dir, so it must not leave --dir or hide there
+        *[("golden", GOLDEN_CASE.replace("[case:toy]", f"[case:{name}]") + "video_frames = 2\n",
+           f"[case:{name}]: case name {name!r} is not a plain file name")
+          for name in ("../escaped", "", ".", "..", "sub/toy", "sub\\toy")],
     ],
     ids=["missing-key", "bad-int", "no-header", "no-section", "unknown-key",
          "golden-missing-video-key", "golden-bad-video", "golden-no-case", "bad-precision",
-         "negative-seed", "zero-dim", "negative-heads", "golden-negative-video-seed", "golden-sentences-cannot-fit"],
+         "negative-seed", "zero-dim", "negative-heads", "golden-negative-video-seed", "golden-sentences-cannot-fit",
+         "golden-name-escapes-dir", "golden-name-empty", "golden-name-dot", "golden-name-dotdot",
+         "golden-name-slash", "golden-name-backslash"],
 )
 def test_malformed_ini_is_one_error_line(tmp_path, capsys, command, text, named):
     path = tmp_path / "bad.ini"
@@ -459,6 +465,14 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "time_encoder: frozen" in out
+
+    def test_every_group_frozen_is_an_error_line(self, capsys):
+        freeze = [flag for group in SpaCompressor.DOWNSTREAM for flag in ("--freeze", group)]
+        assert run_cli("gradcheck", *TINY_FLAGS, *freeze) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: every parameter group is frozen")
+        assert captured.err.count("\n") == 1
 
     def test_f32_is_an_error_line(self, capsys):
         assert run_cli("--precision", "f32", "gradcheck", *TINY_FLAGS) == 1

@@ -13,8 +13,10 @@ from spa_compressor.fitting import FitConfig, fit
 from spa_compressor.golden import emit, load_manifest, verify
 from spa_compressor.goldenio import read_tensor, write_tensor
 from spa_compressor.gradcheck import (
+    REL_ERR_FLOOR,
     STEP,
     TOLERANCE,
+    GroupReport,
     batched_losses,
     chunk_size,
     finite_difference_check,
@@ -98,6 +100,38 @@ def sampled_fd_errors(mode: str) -> dict[str, dict[str, float]]:
         }
         for group, (scalars, losses) in sampled_losses(mode).items()
     }
+
+
+def scalar_relative_error(analytic: float, numeric: float) -> float:
+    """The relative error of one pair of Python floats, the reference for
+    the array formula of ``gradcheck.relative_error``."""
+    return abs(analytic - numeric) / max(abs(analytic) + abs(numeric), REL_ERR_FLOOR)
+
+
+def scalar_loop_reports(model, frames, sentences) -> list[GroupReport]:
+    """Every group's report, scored one scalar at a time: the oracle of the
+    check's array pass.  The worst scalar is the first non-finite error,
+    else the first strictly largest; with every error 0 it is unnamed."""
+    grads = autodiff.backward(autodiff.reduce_sum(model.forward(frames, sentences).flattened))
+    x = model.prepare_input(frames, sentences)
+    reports = []
+    with autodiff.no_grad():
+        cached = model.run_stages(x)
+        for group, named in model.parameter_groups().items():
+            scalars = [(i, k) for i, (_, node) in enumerate(named) for k in range(node.value.size)]
+            losses = batched_losses(model, x, cached, group, scalars)
+            worst_err, worst_param = 0.0, ""
+            for (i, k), (plus, minus) in zip(scalars, losses):
+                name, node = named[i]
+                analytic = float(autodiff.grad_of(grads, node).flat[k])
+                err = scalar_relative_error(analytic, (float(plus) - float(minus)) / (2.0 * STEP))
+                if not math.isfinite(err):
+                    worst_err, worst_param = err, f"{name}[{k}]"
+                    break
+                if err > worst_err:
+                    worst_err, worst_param = err, f"{name}[{k}]"
+            reports.append(GroupReport(group, len(scalars), worst_err, worst_param))
+    return reports
 
 
 class TestSynthetic:
@@ -196,6 +230,64 @@ class TestGradcheck:
             first = model.parameter_groups()[name][0][0]
             assert reports[name].worst_param == f"{first}[0]"
         assert math.isfinite(reports["time_encoder"].max_rel_err)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_reports_equal_the_scalar_loop(self, mode):
+        frames, sentences = generate(SyntheticVideoSpec(**TOY_VIDEO))
+        model = SpaCompressor(CompressorConfig(**{**TOY_CONFIG, "mode": mode}))
+        expected = scalar_loop_reports(model, frames, sentences)
+        reports = finite_difference_check(model, frames, sentences)
+        assert reports == expected  # field by field, the floats with ==
+        assert all(e.worst_param for e in expected)  # every group's worst error is finite and non-zero
+
+    @pytest.mark.parametrize(
+        "prepared, worst",
+        [
+            ({}, (0.0, None)),
+            ({2: np.inf, 5: np.nan, 7: 0.5}, (np.inf, 2)),
+            ({1: 1e-9, 3: 0.25, 9: 0.25, 12: 0.125}, (0.25, 3)),
+        ],
+        ids=["all-zero", "first-non-finite", "first-of-equal-maxima"],
+    )
+    def test_worst_scalar_selection(self, monkeypatch, prepared, worst):
+        # the check scores a group with one relative_error call; its
+        # prepared result picks the reported scalar
+        frames, sentences = generate(SyntheticVideoSpec(**TINY_VIDEO))
+        model = SpaCompressor(CompressorConfig(**TINY_CONFIG))
+        named = model.parameter_groups()["time_encoder"]
+        labels = [f"{name}[{k}]" for name, node in named for k in range(node.value.size)]
+        errors = np.zeros(len(labels))
+        for k, err in prepared.items():
+            errors[k] = err
+        monkeypatch.setattr(gradcheck, "relative_error", lambda analytic, numeric: errors.copy())
+        freeze = ("fusion", "scene", "event")
+        (report,) = [r for r in finite_difference_check(model, frames, sentences, freeze=freeze) if not r.frozen]
+        err, k = worst
+        assert report.max_rel_err == err and type(report.max_rel_err) is float
+        assert report.worst_param == ("" if k is None else labels[k])
+
+    def test_relative_error_of_arrays_is_the_scalar_formula_bit_for_bit(self):
+        floor, tiny, big = REL_ERR_FLOOR, 1e-300, 1e308
+        pairs = [
+            (0.0, 0.0), (0.0, 1e-9), (-1e-9, 0.0), (3e-5, 2e-5), (floor / 2, -floor / 2), (floor, 0.0),
+            (tiny, -tiny), (1.0, 1.0 + 1e-12), (-2.5, 2.5), (1e-3, 2e-3), (big, -big), (big, big),
+            (np.nan, 1.0), (1.0, np.nan), (np.nan, np.nan), (np.inf, 1.0), (-1.0, -np.inf),
+            (np.inf, np.inf), (np.inf, -np.inf), (np.nan, np.inf),
+        ]
+        analytic, numeric = (np.array(column) for column in zip(*pairs))
+        errors = relative_error(analytic, numeric)
+        expected = np.array([scalar_relative_error(a, n) for a, n in pairs])
+        assert errors.tobytes() == expected.tobytes()
+        for a, n in pairs:  # a pair of Python floats gives the same bits
+            assert np.float64(relative_error(a, n)).tobytes() == np.float64(scalar_relative_error(a, n)).tobytes()
+
+    def test_every_group_frozen_is_rejected_before_any_work(self, monkeypatch):
+        frames, sentences = generate(SyntheticVideoSpec(**TINY_VIDEO))
+        model = SpaCompressor(CompressorConfig(**TINY_CONFIG))
+        for method in ("forward", "prepare_input", "run_stages"):
+            monkeypatch.setattr(model, method, lambda *args, method=method: pytest.fail(f"{method} ran"))
+        with pytest.raises(ValueError, match="every parameter group is frozen"):
+            finite_difference_check(model, frames, sentences, freeze=tuple(model.DOWNSTREAM))
 
     @pytest.mark.parametrize("mode", MODES)
     def test_paper_width_sample_passes(self, mode):
