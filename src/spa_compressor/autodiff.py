@@ -3,7 +3,9 @@
 A ``Node`` wraps an ndarray together with references to the nodes it was
 computed from and one vector-Jacobian product per parent.  Graphs are built
 eagerly by the op functions below and differentiated by :func:`backward`,
-which walks the graph in reverse topological order.  Everything is pure
+which walks the graph in reverse topological order and returns the
+gradients of the leaves (parameters and inputs) only: each interior node's
+gradient is freed as soon as its VJPs have run.  Everything is pure
 numpy, double precision by default, and bit-deterministic: the same inputs
 always produce the same graph and the same gradients.
 
@@ -378,10 +380,14 @@ def _topological_order(root: Node) -> list:
 
 
 def backward(root: Node) -> dict:
-    """Accumulate gradients of a scalar ``root`` w.r.t. every graph node.
+    """Gradients of a scalar ``root`` w.r.t. the leaves of its graph.
 
-    Returns a dict keyed by node identity; look values up with
-    :func:`grad_of` to get a clear error for nodes outside the graph.
+    Returns a dict keyed by node identity that holds every leaf's gradient
+    and no interior node's: each interior gradient is taken out of the dict
+    when its node is reached and freed once the node's VJPs have run, so
+    the gradients held at any time are those of the frontier.  The graph
+    itself is left as it was, so ``backward`` can run over it again.  Look
+    values up with :func:`grad_of` to get a clear error for other nodes.
     """
     if root.value.size != 1:
         raise ValueError(f"backward root must be scalar, got shape {root.value.shape}")
@@ -389,7 +395,9 @@ def backward(root: Node) -> dict:
     # each node comes after every node that takes it as a parent, so its
     # gradient is complete, and present, when it is reached
     for node in reversed(_topological_order(root)):
-        g = grads[id(node)]
+        if not node.parents:
+            continue  # a leaf: its gradient is complete and stays
+        g = grads.pop(id(node))
         for parent, vjp in zip(node.parents, node.vjps):
             contribution = vjp(g)
             existing = grads.get(id(parent))
@@ -401,9 +409,16 @@ def backward(root: Node) -> dict:
 
 
 def grad_of(grads: dict, node: Node) -> np.ndarray:
-    """Gradient of the backward root w.r.t. ``node``; error if unrecorded."""
+    """Gradient of the backward root w.r.t. the leaf ``node``; error for an
+    interior node, whose gradient :func:`backward` does not keep, and for a
+    leaf outside the differentiated graph."""
     g = grads.get(id(node))
     if g is None:
+        if node.parents:
+            raise KeyError(
+                f"no gradient kept for node {node!r}; it is not a leaf, "
+                "and backward returns leaf gradients only"
+            )
         raise KeyError(
             f"no gradient recorded for node {node!r}; "
             "it was not part of the differentiated graph"

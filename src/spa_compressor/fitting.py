@@ -68,6 +68,9 @@ def fit(
                     g = grads.get(id(node))
                     if g is not None:
                         node.value -= config.learning_rate * g
+                # free this step's graph and gradients before the next
+                # forward; the graph holds no reference cycles
+                del diff, loss, grads
         except (ValueError, FloatingPointError) as exc:
             raise ValueError(f"loss diverged at step {step}: {exc}") from exc
     return losses

@@ -37,6 +37,8 @@ def load_manifest(path) -> list[GoldenCase]:
     cases = []
     for section in parser.sections():
         if not section.startswith("case:"):
+            if section[:5].lower() == "case:":  # a misspelt case would silently drop out of emit and verify
+                raise ValueError(f"{path} [{section}]: a case section must start with lower-case 'case:'")
             continue
         sec, where, name = parser[section], f"{path} [{section}]", section.removeprefix("case:")
         if name in ("", ".", "..") or "/" in name or "\\" in name:  # the name is a file stem under --dir

@@ -35,11 +35,13 @@ def write_video(directory, frames: list[Frame], sentences: list[AsrSentence]) ->
     for f in frames:
         rel = f"frame_{f.index:05d}.spat"
         write_tensor(directory / rel, f.vision_tokens)
-        lines.append(f"frame {f.index} {f.time_seconds!r} {rel}")
+        # repr of a python float reads back exactly; a numpy scalar's repr
+        # ("np.float64(0.5)") would not read back at all
+        lines.append(f"frame {f.index} {float(f.time_seconds)!r} {rel}")
     for s in sentences:
         rel = f"sentence_{s.index:05d}.spat"
         write_tensor(directory / rel, s.tokens)
-        lines.append(f"sentence {s.index} {s.start!r} {s.end!r} {rel}")
+        lines.append(f"sentence {s.index} {float(s.start)!r} {float(s.end)!r} {rel}")
     path = directory / "video.manifest"
     path.write_text("\n".join(lines) + "\n")
     return path

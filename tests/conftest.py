@@ -21,6 +21,13 @@ TOY_CONFIG = dict(
     seed=7,
 )
 TOY_VIDEO = dict(n_frames=2, n_sentences=1, vision_tokens_per_frame=2, dim=8, seed=3)
+# the paper's attention shapes at a Tier-1 cost: 8 heads of width 8, two
+# layers per stage, and event queries with one block per frame
+PAPER_WIDTH_CONFIG = dict(
+    dim=64, heads=8, scene_tokens=8, event_tokens=8,
+    scene_layers=2, event_layers=2, vision_tokens_per_frame=4, seed=7,
+)
+PAPER_WIDTH_VIDEO = dict(n_frames=3, n_sentences=2, vision_tokens_per_frame=4, dim=64, seed=3)
 
 
 @pytest.fixture

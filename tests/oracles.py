@@ -108,3 +108,28 @@ def naive_encode_timestamp(t, embed, w_update, u_update, b_update, w_reset, u_re
         n = [math.tanh(preactivation(x, rh, w_cand, u_cand, b_cand, j)) for j in range(dim)]
         h = [(1.0 - z[j]) * n[j] + z[j] * h[j] for j in range(dim)]
     return np.array(h)
+
+
+def accumulate_everything_backward(root):
+    """Reverse-mode accumulation that keeps every node's gradient, leaves
+    and interior nodes alike, until it returns: a dict keyed by node
+    identity.  It visits the nodes in the same order as
+    ``autodiff.backward`` and adds the contributions in the same order, so
+    its leaf gradients are the reference for that backward's, bit for bit."""
+    order, seen, stack = [], set(), [(root, False)]
+    while stack:  # depth-first post-order, parents pushed in order
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((parent, False) for parent in node.parents)
+    grads = {id(root): np.ones_like(root.value)}
+    for node in reversed(order):
+        g = grads[id(node)]
+        for parent, vjp in zip(node.parents, node.vjps):
+            contribution = vjp(g)
+            existing = grads.get(id(parent))
+            grads[id(parent)] = contribution if existing is None else existing + contribution
+    return grads

@@ -3,14 +3,19 @@ import contextlib
 import numpy as np
 import pytest
 
+from conftest import PAPER_WIDTH_CONFIG, PAPER_WIDTH_VIDEO
+from oracles import accumulate_everything_backward
+
 from spa_compressor import autodiff as ad
 from spa_compressor.autodiff import Node
+from spa_compressor.compressor import MODES, CompressorConfig, SpaCompressor
 from spa_compressor.kernels import (
     LayerNormParams,
     attention_core,
     layer_norm,
     layer_norm_params,
 )
+from spa_compressor.synthetic import SyntheticVideoSpec, generate
 from spa_compressor.time_encoder import TimeEncoderParams, encode_timestamp
 
 
@@ -101,6 +106,65 @@ def test_unrecorded_node_gradient_is_an_error():
     grads = ad.backward(ad.reduce_sum(x * x))
     with pytest.raises(KeyError, match="not part of the differentiated graph"):
         ad.grad_of(grads, other)
+
+
+def graph_nodes(root):
+    """Every node of ``root``'s graph, keyed by identity."""
+    nodes, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            stack.extend(node.parents)
+    return nodes
+
+
+def small_graph():
+    rng = np.random.default_rng(5)
+    x, w, b = (Node(rng.standard_normal(s)) for s in [(3, 4), (4, 4), (4,)])
+    hidden = ad.gelu(ad.affine(x, w, b))
+    return (x, w, b), hidden, ad.reduce_sum(hidden * x)
+
+
+def test_backward_returns_leaf_gradients_only():
+    leaves, _, loss = small_graph()
+    grads = ad.backward(loss)
+    nodes = graph_nodes(loss)
+    assert any(node.parents for node in nodes.values())
+    assert set(grads) == {i for i, node in nodes.items() if not node.parents} == {id(n) for n in leaves}
+
+
+def test_interior_node_gradient_is_an_error():
+    _, hidden, loss = small_graph()
+    grads = ad.backward(loss)
+    for node in (hidden, loss):
+        with pytest.raises(KeyError, match="not a leaf"):
+            ad.grad_of(grads, node)
+
+
+def test_backward_leaves_the_graph_for_another_backward():
+    leaves, _, loss = small_graph()
+    first, second = ad.backward(loss), ad.backward(loss)
+    assert set(first) == set(second)
+    for node in leaves:
+        np.testing.assert_array_equal(ad.grad_of(first, node), ad.grad_of(second, node))
+
+
+# backward frees interior gradients as it goes, but adds each leaf's
+# contributions in the same order as the backward that keeps everything
+@pytest.mark.parametrize("precision", ["f64", "f32"])
+@pytest.mark.parametrize("mode", MODES)
+def test_leaf_gradients_are_bit_identical_to_keeping_every_gradient(mode, precision):
+    frames, sentences = generate(SyntheticVideoSpec(**PAPER_WIDTH_VIDEO))
+    model = SpaCompressor(CompressorConfig(**PAPER_WIDTH_CONFIG, mode=mode, precision=precision))
+    out = model.forward(frames, sentences).flattened
+    loss = ad.reduce_sum(out * out)
+    grads, reference = ad.backward(loss), accumulate_everything_backward(loss)
+    assert len(reference) > len(grads)
+    for name, node in model.parameters():
+        grad, want = ad.grad_of(grads, node), reference[id(node)]
+        assert grad.dtype == want.dtype == node.value.dtype, name
+        assert np.array_equal(grad, want), name
 
 
 def test_float32_graph_stays_float32():

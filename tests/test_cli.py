@@ -415,12 +415,16 @@ def test_malformed_video_is_one_error_line(tmp_path, capsys, corrupt, fragments)
         *[("golden", GOLDEN_CASE.replace("[case:toy]", f"[case:{name}]") + "video_frames = 2\n",
            f"[case:{name}]: case name {name!r} is not a plain file name")
           for name in ("../escaped", "", ".", "..", "sub/toy", "sub\\toy")],
+        # a case spelt in another letter case would drop out of emit and verify unseen
+        *[("golden", GOLDEN_CASE + "video_frames = 2\n" + GOLDEN_CASE.replace("[case:toy]", f"[{prefix}:b]"),
+           f"[{prefix}:b]: a case section must start with lower-case 'case:'")
+          for prefix in ("CASE", "Case")],
     ],
     ids=["missing-key", "bad-int", "no-header", "no-section", "unknown-key",
          "golden-missing-video-key", "golden-bad-video", "golden-no-case", "bad-precision",
          "negative-seed", "zero-dim", "negative-heads", "golden-negative-video-seed", "golden-sentences-cannot-fit",
          "golden-name-escapes-dir", "golden-name-empty", "golden-name-dot", "golden-name-dotdot",
-         "golden-name-slash", "golden-name-backslash"],
+         "golden-name-slash", "golden-name-backslash", "golden-upper-case-section", "golden-title-case-section"],
 )
 def test_malformed_ini_is_one_error_line(tmp_path, capsys, command, text, named):
     path = tmp_path / "bad.ini"

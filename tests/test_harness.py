@@ -1,5 +1,7 @@
+import dataclasses
 import functools
 import math
+import weakref
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -26,7 +28,7 @@ from spa_compressor.manifest import read_video, write_video
 from spa_compressor.sequence import validate_frames, validate_sentences
 from spa_compressor.synthetic import SyntheticVideoSpec, generate
 
-from conftest import TOY_CONFIG, TOY_VIDEO
+from conftest import PAPER_WIDTH_CONFIG, PAPER_WIDTH_VIDEO, TOY_CONFIG, TOY_VIDEO
 
 GOLDEN_MANIFEST = Path(__file__).resolve().parent.parent / "golden_manifest.ini"
 GOLDEN_DIR = Path(__file__).resolve().parent / "goldens"
@@ -36,13 +38,6 @@ TINY_CONFIG = dict(
     scene_layers=1, event_layers=1, vision_tokens_per_frame=1, seed=5,
 )
 TINY_VIDEO = dict(n_frames=2, n_sentences=1, vision_tokens_per_frame=1, dim=4, seed=2)
-# the paper's attention shapes at a Tier-1 cost: 8 heads of width 8, two
-# layers per stage, and event queries with one block per frame
-PAPER_WIDTH_CONFIG = dict(
-    dim=64, heads=8, scene_tokens=8, event_tokens=8,
-    scene_layers=2, event_layers=2, vision_tokens_per_frame=4, seed=7,
-)
-PAPER_WIDTH_VIDEO = dict(n_frames=3, n_sentences=2, vision_tokens_per_frame=4, dim=64, seed=3)
 SAMPLED_PER_TENSOR = 16
 
 
@@ -458,6 +453,24 @@ class TestFit:
             pairs = zip(named, initial[group])
             assert any(not np.array_equal(a.value, b.value) for (_, a), (_, b) in pairs), group
 
+    def test_each_step_frees_its_graph_before_the_next_forward(self, monkeypatch):
+        # a node holds its value, so the previous step's output value is dead
+        # only once its node is; the graph holds no reference cycles, so it
+        # dies as soon as fit drops that step's loss and gradients
+        frames, sentences = generate(SyntheticVideoSpec(**TINY_VIDEO))
+        model = SpaCompressor(CompressorConfig(**TINY_CONFIG))
+        forward, outputs = model.forward, []
+
+        def tracked(*args):
+            assert all(ref() is None for ref in outputs)
+            result = forward(*args)
+            outputs.append(weakref.ref(result.flattened.value))
+            return result
+
+        monkeypatch.setattr(model, "forward", tracked)
+        fit(model, frames, sentences, FitConfig(steps=3))
+        assert len(outputs) == 5  # the teacher target's shape, then 3 steps and the final loss
+
     @pytest.mark.parametrize("lr", [float("nan"), float("inf"), -float("inf"), -0.05])
     def test_learning_rate_must_be_finite_and_non_negative(self, lr):
         with pytest.raises(ValueError, match="learning rate must be finite and non-negative"):
@@ -544,6 +557,15 @@ class TestManifestIo:
         for a, b in zip(sentences, back_sentences):
             assert (a.start, a.end) == (b.start, b.end)
             np.testing.assert_array_equal(a.tokens, b.tokens)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_numpy_scalar_times_round_trip(self, tmp_path, dtype):
+        frames, sentences = generate(SyntheticVideoSpec(**TOY_VIDEO))
+        frames = [dataclasses.replace(f, time_seconds=dtype(f.time_seconds)) for f in frames]
+        sentences = [dataclasses.replace(s, start=dtype(s.start), end=dtype(s.end)) for s in sentences]
+        back_frames, back_sentences = read_video(write_video(tmp_path, frames, sentences))
+        assert [b.time_seconds for b in back_frames] == [float(f.time_seconds) for f in frames]
+        assert [(b.start, b.end) for b in back_sentences] == [(float(s.start), float(s.end)) for s in sentences]
 
     def test_tensor_magnitude_is_bounded_by_the_float32_layer_norm_square(self, tmp_path):
         # width W: |x| <= sqrt(float32 max / (4 W)) keeps layer norm's sum of squares finite
