@@ -22,6 +22,13 @@ softmax blocks and matches the op-by-op attention to round-off.  A fused
 node shares one backward computation between the VJPs of its parents
 through :func:`shared_vjps`.
 
+VJPs read their parents' values when :func:`backward` runs, not when the
+node is built: :func:`affine`'s take ``x`` and ``w`` from its parents,
+layer norm rebuilds its normalized input from ``x`` and the attention core
+its scaled queries from ``q``.  A recorded value must therefore not change
+in place between a forward and its backward; ``fitting.fit`` and the
+benchmark's training step update the parameters only after the backward.
+
 Every VJP returns its parent's dtype, so the backward of a float32 graph
 stays float32.  Python scalars adopt their partner's dtype, and the one
 float64 step, the CDF in :func:`gelu`'s forward, is cast back.  It stays

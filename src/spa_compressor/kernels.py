@@ -14,9 +14,12 @@ blocks separately, so the shared block is never tiled over frames.  It
 bounds every score by |q_h| |k_h| per head: where that stays below
 ``SHIFT_FREE`` it takes exp of the scores with no row-max shift and sums
 the blocks, and otherwise it shifts each block by its row max and combines
-them by their maxima and sums.  A recorded core keeps no score-sized
-array, since its VJP recomputes the exps.  Every attention and FFN
-projection is one ``affine`` node, and the FFN adds a ``gelu``.
+them by their maxima and sums.  A recorded layer norm or core keeps only
+its parents' values, its own output and row-sized statistics: layer
+norm's VJP rebuilds the normalized input from x and the row mean and
+1/std, and the core's recomputes the scaled queries and the exps and reads
+the head view of its output.  Every attention and FFN projection is one
+``affine`` node, and the FFN adds a ``gelu``, whose VJP keeps its CDF.
 The projections and layer norm also take parameters that stack P probe
 values of the finite-difference sweep, one per part of the batch; that
 path is value-only.
@@ -61,18 +64,38 @@ def layer_norm_params(dim: int, dtype=np.float64) -> LayerNormParams:
     )
 
 
+def _row_mean(a: np.ndarray) -> np.ndarray:
+    """``a.mean(axis=-1, keepdims=True)``, bit for bit, at less cost.
+
+    numpy's mean divides the row sums by an ``intp``, so it divides a
+    float32 sum in float64 and rounds the quotient back.  One division in
+    the sum's own dtype gives the same bits: float64 has more than
+    2 * 24 + 2 significant bits, which makes that double rounding
+    innocuous (Figueroa, "When is double rounding innocuous?", 1995), and
+    a row length below 2**24 is exact in float32.
+    """
+    out = a.sum(axis=-1, keepdims=True)
+    out /= a.dtype.type(a.shape[-1])
+    return out
+
+
 def layer_norm(x: Node, p: LayerNormParams) -> Node:
     """Normalize the last axis to zero mean / unit variance, then affine.
 
     One node over ``(x, scale, shift)``.  The mean and variance are sums
     times a ``1/D`` cast to the dtype, as ``reduce_mean`` computes them.
+    A recorded node keeps the row mean and 1/std, (..., 1) each; its one
+    VJP rebuilds the normalized input from ``x`` by the forward's own
+    subtraction and product, so the gradients are bit-identical to keeping
+    it, and shares that work between the three parents.
     A ``scale`` and ``shift`` of P*D entries stack P probe values (see
     :func:`_probe_split`); that path is value-only and returns a leaf.
     """
     check_finite(x.value, "layer_norm input")
     xv, scale, shift = x.value, p.scale.value, p.shift.value
     inv_dim = np.asarray(1.0 / xv.shape[-1], dtype=xv.dtype)
-    centered = xv - xv.sum(axis=-1, keepdims=True) * inv_dim
+    mean = xv.sum(axis=-1, keepdims=True) * inv_dim
+    centered = xv - mean
     variance = (centered * centered).sum(axis=-1, keepdims=True) * inv_dim
     inv_std = (variance + np.asarray(LAYER_NORM_EPS, dtype=xv.dtype)) ** -0.5
     normalized = centered * inv_std
@@ -83,21 +106,22 @@ def layer_norm(x: Node, p: LayerNormParams) -> Node:
     if not ad.recording():
         return Node(out)
 
-    def vjp_x(g):
+    def grads(g):
+        # the forward's normalized input, by its operations in its order
+        normalized = x.value - mean
+        normalized *= inv_std
         gn = g * scale
-        mean_gn = gn.mean(axis=-1, keepdims=True)
-        mean_gn_n = (gn * normalized).mean(axis=-1, keepdims=True)
-        return inv_std * (gn - mean_gn - normalized * mean_gn_n)
+        t = gn * normalized
+        mean_gn, mean_gn_n = _row_mean(gn), _row_mean(t)
+        d_scale = ad.unbroadcast(np.multiply(g, normalized, out=t), scale.shape)
+        # d_x = inv_std * (gn - mean_gn - normalized * mean_gn_n), in gn's buffer
+        gn -= mean_gn
+        normalized *= mean_gn_n
+        gn -= normalized
+        gn *= inv_std
+        return gn, d_scale, ad.unbroadcast(g, shift.shape)
 
-    return Node(
-        out,
-        (x, p.scale, p.shift),
-        (
-            vjp_x,
-            lambda g: ad.unbroadcast(g * normalized, scale.shape),
-            lambda g: ad.unbroadcast(g, shift.shape),
-        ),
-    )
+    return Node(out, (x, p.scale, p.shift), ad.shared_vjps(grads, 3))
 
 
 @dataclass
@@ -216,13 +240,15 @@ def attention_core(
     each batch entry's values are bit-identical to those of its own call.
 
     Returns the node of ``q``'s shape, with N query blocks when there is an
-    own block.  A recorded node keeps the head-split scaled q and the k/v,
-    ``out`` and the combined row sum; the shifted path keeps each block's
-    row max m and factor a_i too.  As in FlashAttention's backward, the one
-    VJP recomputes each block's exps from q, k and m by the forward's own
-    GEMM, subtraction and exp, and scales them by a_i / sum_i a_i l_i into
-    the softmax weights; the weights, and so the gradients, are
-    bit-identical to keeping the exps.
+    own block.  A recorded node keeps its output, the head views of k/v
+    and the combined row sum; the shifted path keeps each block's row max
+    m and factor a_i too.  As in FlashAttention's backward, the one VJP
+    recomputes the scaled q by the forward's own product and each block's
+    exps from q, k and m by the forward's own GEMM, subtraction and exp,
+    and scales them by a_i / sum_i a_i l_i into the softmax weights; it
+    reads the head-split output as the head view of ``out``, of which the
+    merge was a copy.  The weights, and so the gradients, are bit-identical
+    to keeping the scaled q, the exps and the head-split output.
     It loops over the blocks; ``ad.unbroadcast`` sums the gradients of the
     shared block, and of a query block shared by every frame, over the
     frames.
@@ -257,15 +283,20 @@ def attention_core(
         m, e = exps(qh, kh)
         return m, e.sum(axis=-1, keepdims=True), e @ vh
 
+    def query_heads(q_scaled):
+        """q split by head, and as the shared block's GEMM operand, every
+        query row of a batch entry and head in one matrix."""
+        qh = split(q_scaled)
+        return qh, qh.reshape(batch, heads, -1, head_dim)
+
     q_scaled = q.value * q_scale
     keys = [k.value] if k_own is None else [k.value, k_own.value]
     shifted = _shifted_entries(q_scaled, keys, heads)
-    qh = split(q_scaled)
+    qh, qs = query_heads(q_scaled)
     kh, vh = split(k.value), split(v.value)
     # the shared block: one GEMM per batch entry and head over every query row
-    qs = qh.reshape(batch, heads, -1, head_dim)
     m, denom, out_h = block(qs, kh, vh)
-    scored = [(qs, kh, m)]  # each block's score operands and row max, for the VJP's exps
+    scored = [(kh, m)]  # each block's keys and row max, for the VJP's exps
     if q.ndim == 4:  # back to (B, heads, Nq, Lq, .); the shared keys broadcast over frames
         denom, out_h = (a.reshape(qh.shape[:-1] + a.shape[-1:]) for a in (denom, out_h))
         if m is not None:
@@ -286,7 +317,7 @@ def attention_core(
             denom = a_s * denom + a_r * l_r
             out_h = a_s * out_h + a_r * o_r
             blocks = [(a_s, kh, vh), (a_r, krh, vrh)]
-        scored.append((qh, krh, m_r))
+        scored.append((krh, m_r))
         parents += (k_own, v_own)
     out_h /= denom
     out = merge(out_h)
@@ -294,10 +325,12 @@ def attention_core(
         return Node(out)
 
     def grads(g):
+        # the scaled queries by the forward's own op, and the head view of out
+        qh, qs = query_heads(q.value * q_scale)
         gh = split(g)
-        row = (gh * out_h).sum(axis=-1, keepdims=True)
+        row = (gh * split(out)).sum(axis=-1, keepdims=True)
         d_q, d_kv = [], []
-        for (a, kh, vh), (qb, kb, m) in zip(blocks, scored):
+        for (a, kh, vh), qb, (kb, m) in zip(blocks, (qs, qh), scored):
             # the softmax weights exps * a / denom, from the forward's exps recomputed
             w = exps(qb, kb, m)[1]
             if w.ndim < qh.ndim:  # the shared block, scored over every query block at once

@@ -133,3 +133,26 @@ def accumulate_everything_backward(root):
             existing = grads.get(id(parent))
             grads[id(parent)] = contribution if existing is None else existing + contribution
     return grads
+
+
+def layer_norm_keeping_normalized(x, scale, shift, eps=1e-5):
+    """A layer-norm node that keeps its normalized input for the backward:
+    the forward's numpy operations in ``kernels.layer_norm``'s order, and one
+    VJP each for ``x``, ``scale`` and ``shift`` that reads the kept array.
+    Returns the output and the three VJPs; since ``kernels.layer_norm``
+    rebuilds the normalized input by the same operations, these are the
+    reference for its gradients, bit for bit."""
+    inv_dim = np.asarray(1.0 / x.shape[-1], dtype=x.dtype)
+    centered = x - x.sum(axis=-1, keepdims=True) * inv_dim
+    variance = (centered * centered).sum(axis=-1, keepdims=True) * inv_dim
+    inv_std = (variance + np.asarray(eps, dtype=x.dtype)) ** -0.5
+    normalized = centered * inv_std
+    rows = tuple(range(x.ndim - 1))  # the axes that scale and shift broadcast over
+
+    def vjp_x(g):
+        gn = g * scale
+        mean_gn = gn.mean(axis=-1, keepdims=True)
+        mean_gn_n = (gn * normalized).mean(axis=-1, keepdims=True)
+        return inv_std * (gn - mean_gn - normalized * mean_gn_n)
+
+    return normalized * scale + shift, (vjp_x, lambda g: (g * normalized).sum(axis=rows), lambda g: g.sum(axis=rows))

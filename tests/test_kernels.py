@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import naive_attention, naive_ffn, naive_layer_norm, scalar_gelu
+from oracles import layer_norm_keeping_normalized, naive_attention, naive_ffn, naive_layer_norm, scalar_gelu
 
 from spa_compressor import autodiff as ad
 from spa_compressor import kernels
@@ -55,6 +55,19 @@ def shift_paths(monkeypatch):
     return seen
 
 
+def held_bytes(make):
+    """``make()`` and the bytes that tracemalloc counts as still allocated
+    once it has returned: what its result keeps alive."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = make()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return result, held
+
+
 def assert_matches_oracle(got, want):
     """float64 ``got`` to 1e-12; float32 to 1e-5 of the largest value of ``want``."""
     atol = 1e-12 if got.dtype == np.float64 else 1e-5 * np.abs(want).max()
@@ -87,6 +100,41 @@ class TestLayerNorm:
         out = layer_norm(Node(x), p).value
         assert np.abs(out.mean(axis=-1)).max() < 1e-10
         assert np.abs(out.var(axis=-1) - 1.0).max() < 1e-4
+
+    def test_recorded_node_keeps_row_statistics_not_the_normalized_input(self, rng):
+        # the VJP rebuilds the normalized input from x and the row mean and
+        # 1/std, so a recorded node keeps its output and two (..., 1) arrays
+        p = layer_norm_params(64)
+        x = Node(rng.standard_normal((4, 512, 64)))  # 1 MiB
+        out, held = held_bytes(lambda: layer_norm(x, p))
+        assert out.parents
+        assert held < out.value.nbytes + x.value.nbytes / 4, f"{held} bytes held for a {out.value.nbytes}-byte output"
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("shape", [(7, 24), (2, 5, 24), (2, 3, 4, 24)], ids=["rank2", "rank3", "rank4"])
+    def test_gradients_equal_those_of_a_node_that_keeps_the_normalized_input(self, rng, dtype, shape):
+        # a row length that is no power of two, so that dividing by it rounds
+        p = layer_norm_params(24, dtype)
+        p.scale.value = rng.uniform(0.5, 1.5, 24).astype(dtype)
+        p.shift.value = rng.standard_normal(24).astype(dtype)
+        x = Node((rng.standard_normal(shape) * 3.0 + 1.0).astype(dtype))
+        g = rng.standard_normal(shape).astype(dtype)
+        out = layer_norm(x, p)
+        grads = ad.backward(ad.reduce_sum(out * Node(g)))  # the upstream gradient of out is g
+        want_out, want_vjps = layer_norm_keeping_normalized(x.value, p.scale.value, p.shift.value)
+        assert np.array_equal(out.value, want_out)
+        for node, vjp in zip((x, p.scale, p.shift), want_vjps):
+            got, want = ad.grad_of(grads, node), vjp(g)
+            assert got.dtype == want.dtype == dtype
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("dim", [3, 24, 100])
+    def test_row_mean_is_numpys_mean_bit_for_bit(self, rng, dtype, dim):
+        a = (rng.standard_normal((4096, dim)) * 10.0 ** rng.integers(-30, 30, (4096, 1))).astype(dtype)
+        got, want = kernels._row_mean(a), a.mean(axis=-1, keepdims=True)
+        assert got.dtype == want.dtype == dtype
+        assert np.array_equal(got, want)
 
     def test_non_finite_input_reports_index(self):
         p = layer_norm_params(3)
@@ -277,15 +325,28 @@ class TestAttendSharedContext:
         if own_shape:
             blocks.append(heads * own_shape[1] * q_shape[-2] * own_shape[2])
         smallest_block = 8 * min(blocks)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            out = attention_core(q, k, v, heads, *own)
-            held = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
+        out, held = held_bytes(lambda: attention_core(q, k, v, heads, *own))
         assert out.parents
         assert held < smallest_block / 4, f"{held} bytes held against a {smallest_block}-byte score block"
+
+    @pytest.mark.parametrize(
+        "q_shape,kv_shape,own_shape",
+        [((1, 128, 64), (1, 512, 64), None), ((1, 4, 32, 64), (1, 512, 64), (1, 4, 128, 64)),
+         ((1, 1, 256, 64), (1, 512, 64), (1, 4, 128, 64))],
+        ids=["one-block", "two-block-nq-n", "two-block-nq-1"],
+    )
+    def test_recorded_core_holds_no_query_sized_array(self, rng, q_shape, kv_shape, own_shape):
+        # the VJP recomputes the scaled queries and reads the head view of the
+        # output, so a recorded node keeps its output and row-sized statistics.
+        # The three block layouts of the test above, at width 64 and with more
+        # query rows: there q is 4 KiB, less than a node's fixed overhead
+        heads = 2
+        q, k, v = (Node(rng.standard_normal(s)) for s in (q_shape, kv_shape, kv_shape))
+        own = (Node(rng.standard_normal(own_shape)), Node(rng.standard_normal(own_shape))) if own_shape else ()
+        out, held = held_bytes(lambda: attention_core(q, k, v, heads, *own))
+        assert out.parents
+        bound = out.value.nbytes + q.value.nbytes / 4
+        assert held < bound, f"{held} bytes held for a {out.value.nbytes}-byte output and a {q.value.nbytes}-byte q"
 
 
 class TestProject:
