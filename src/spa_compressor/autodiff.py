@@ -109,6 +109,7 @@ class Node:
     passes no parents there; the constructor stores what it is given.
     """
 
+    # perfbench's graph_stats reads node.vjps, so one vjp per node waits on ROADMAP item 1 step A
     __slots__ = ("value", "parents", "vjps")
 
     def __init__(self, value, parents=(), vjps=()):

@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 check failure or runtime error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import math
 import os
@@ -24,12 +25,12 @@ import numpy as np
 
 from . import analytics, golden
 from . import autodiff as ad
-from .compressor import INI_KEYS, MODES, CompressorConfig, ConfigError, SpaCompressor
+from .compressor import INI_KEYS, MODES, CompressorConfig, FieldError, SpaCompressor
 from .fitting import FitConfig, fit
 from .goldenio import write_tensor
 from .gradcheck import finite_difference_check
 from .manifest import read_video, write_video
-from .synthetic import SyntheticVideoSpec, VideoSpecError, generate
+from .synthetic import SyntheticVideoSpec, generate
 
 # toy defaults sized so gradcheck and fit finish in seconds
 TOY = dict(dim=8, heads=2, scene_tokens=2, event_tokens=2, scene_layers=1, event_layers=1, vision_tokens_per_frame=2)
@@ -43,39 +44,45 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=MODES)
 
 
+# config or video spec field -> the dest of the flag that sets it
+FIELD_FLAGS = dict(n_frames="frames", n_sentences="sentences", frame_step="step", sentence_tokens_min="l_s_min",
+                   sentence_tokens_max="l_s_max", **{field: key for key, (field, _) in INI_KEYS.items()})
+
+
+@contextlib.contextmanager
+def _flagged(args, where=""):
+    """Re-raise a :class:`FieldError` as a ``ValueError`` led by ``where`` and the flags in ``args`` of its fields."""
+    try:
+        yield
+    except FieldError as exc:
+        flags = ["--" + FIELD_FLAGS[f].replace("_", "-") for f in exc.fields if hasattr(args, FIELD_FLAGS[f])]
+        raise ValueError(f"{where}{', '.join(flags)}: {exc}") from None
+
+
+class UsageError(Exception):
+    """A flag value or combination that a command refuses: exit 2."""
+
+
 def _model_config(args) -> CompressorConfig:
     """Each model flag given explicitly (global ``--seed`` and ``--precision``
-    too), else the ``--config`` INI's value, else the toy default; an error
-    names the flags of the values it read."""
+    too), else the ``--config`` INI's value, else the toy default."""
     config = CompressorConfig.from_ini(args.config) if args.config is not None else CompressorConfig(**TOY)
     given = {field: getattr(args, key) for key, (field, _) in INI_KEYS.items()}
-    try:
+    with _flagged(args):
         return dataclasses.replace(config, **{k: v for k, v in given.items() if v is not None})
-    except ConfigError as exc:
-        flags = ["--" + key.replace("_", "-") for key, (field, _) in INI_KEYS.items() if field in exc.fields]
-        raise ValueError(f"{', '.join(flags)}: {exc}") from None
-
-
-# SyntheticVideoSpec field -> the dest of the flag that sets it
-VIDEO_FLAGS = dict(n_frames="frames", n_sentences="sentences", frame_step="step", sentence_tokens_min="l_s_min",
-                   sentence_tokens_max="l_s_max", vision_tokens_per_frame="l_v", dim="d", seed="seed")
 
 
 def _video(args, **spec):
-    """The video of ``--frames``, ``--sentences`` and ``spec``; an error names the flags of ``args`` it read."""
-    try:
+    """The video of ``--frames``, ``--sentences`` and ``spec``."""
+    with _flagged(args):
         return generate(SyntheticVideoSpec(args.frames, args.sentences, **spec))
-    except VideoSpecError as exc:
-        dests = [VIDEO_FLAGS[field] for field in exc.fields if hasattr(args, VIDEO_FLAGS[field])]
-        raise ValueError(f"{', '.join('--' + d.replace('_', '-') for d in dests)}: {exc}") from None
 
 
 def cmd_ratio(args) -> int:
     values = [("--n-avg", args.n_avg), ("--dv", args.dv)]
     if args.grid is not None:
         if args.s is not None or args.e is not None:
-            print("error: --grid cannot be combined with --s or --e", file=sys.stderr)
-            return 2
+            raise UsageError("--grid cannot be combined with --s or --e")
         try:
             s_part, e_part = args.grid.split("x")
             scene_grid = [float(v) for v in s_part.split(",") if v]
@@ -83,21 +90,17 @@ def cmd_ratio(args) -> int:
         except ValueError:
             scene_grid = event_grid = []
         if not (scene_grid and event_grid):
-            print(f"error: bad --grid {args.grid!r}; expected 's1,s2x e1,e2' syntax", file=sys.stderr)
-            return 2
+            raise UsageError(f"bad --grid {args.grid!r}; expected 's1,s2x e1,e2' syntax")
         values += [("--grid", v) for v in scene_grid + event_grid]
     elif args.format is not None:
-        print("error: --format applies only to --grid", file=sys.stderr)
-        return 2
+        raise UsageError("--format applies only to --grid")
     elif args.s is None or args.e is None:
-        print("error: ratio needs either --grid or both --s and --e", file=sys.stderr)
-        return 2
+        raise UsageError("ratio needs either --grid or both --s and --e")
     else:
         values += [("--s", args.s), ("--e", args.e)]
     for flag, value in values:
         if not (math.isfinite(value) and value > 0):
-            print(f"error: {flag} must be finite and strictly positive, got {value:g}", file=sys.stderr)
-            return 1
+            raise ValueError(f"{flag} must be finite and strictly positive, got {value:g}")
     try:
         if args.grid is not None:
             reports = analytics.sweep(scene_grid, event_grid, args.n_avg, args.dv)
@@ -105,8 +108,7 @@ def cmd_ratio(args) -> int:
             report = analytics.compression_ratio(analytics.RatioInput(args.s, args.e, args.n_avg, args.dv))
     except ValueError:  # every input is finite and positive, so the ratio over- or underflowed
         given = f"--grid {args.grid}" if args.grid is not None else f"--s {args.s:g} --e {args.e:g}"
-        print(f"error: ratio is not finite for {given} --n-avg {args.n_avg:g} --dv {args.dv:g}", file=sys.stderr)
-        return 1
+        raise ValueError(f"ratio is not finite for {given} --n-avg {args.n_avg:g} --dv {args.dv:g}") from None
     if args.grid is not None:
         print(analytics.format_csv(reports) if args.format == "csv" else analytics.format_table(reports))
         return 0
@@ -138,7 +140,7 @@ def cmd_run(args) -> int:
     config = _model_config(args)
     frames, sentences = read_video(args.manifest)
     model = SpaCompressor(config)
-    with ad.no_grad():
+    with ad.no_grad(), _flagged(args, f"{args.manifest}: "):
         result = model.forward(frames, sentences)
     write_tensor(args.out, result.flattened.value)
 
@@ -193,16 +195,13 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_fit(args) -> int:
     if args.steps < 1:
-        print(f"error: --steps must be at least 1, got {args.steps}", file=sys.stderr)
-        return 2
+        raise UsageError(f"--steps must be at least 1, got {args.steps}")
     if not (math.isfinite(args.lr) and args.lr >= 0):
-        print(f"error: --lr must be finite and non-negative, got {args.lr}", file=sys.stderr)
-        return 2
+        raise UsageError(f"--lr must be finite and non-negative, got {args.lr}")
     config = _model_config(args)
     largest = float(np.finfo(config.dtype).max)
     if args.lr > largest:
-        print(f"error: --lr {args.lr:g} exceeds the largest {config.precision} value, {largest:g}", file=sys.stderr)
-        return 2
+        raise UsageError(f"--lr {args.lr:g} exceeds the largest {config.precision} value, {largest:g}")
     if args.out:
         _check_writable(args.out, "--out")
     frames, sentences = _video(
@@ -300,9 +299,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError) as exc:
+    except (UsageError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, UsageError) else 1
     except MemoryError as exc:  # a model or video too large to allocate
         print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory", file=sys.stderr)
         return 1

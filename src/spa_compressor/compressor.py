@@ -34,6 +34,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node
+# perfbench/bench_trace.py's TARGETS patches layer_norm, cross_attention, self_attention, ffn, align_sentences,
+# build_sequence and encode_timestamp here, and six SpaCompressor methods, by name: a traced run fails if one
+# goes (ROADMAP item 1 step A)
 from .kernels import (
     AttentionParams,
     FfnParams,
@@ -98,8 +101,8 @@ def ini_value(section, key: str, parse, where: str):
         raise ValueError(f"{where}: bad value for {key!r}: {exc}") from None
 
 
-class ConfigError(ValueError):
-    """A bad :class:`CompressorConfig`; ``fields`` names the config fields the failed check read."""
+class FieldError(ValueError):
+    """A bad value; ``fields`` names the config or spec fields the failed check read."""
 
     def __init__(self, fields: tuple[str, ...], message: str):
         super().__init__(message)
@@ -120,22 +123,22 @@ class CompressorConfig:
     precision: str = "f64"
 
     def __post_init__(self):
-        counts = ("scene_tokens", "event_tokens", "vision_tokens_per_frame", "scene_layers", "event_layers")
+        counts = ("scene_tokens", "event_tokens", "scene_layers", "event_layers", "vision_tokens_per_frame")
         below_one = tuple(f for f in counts if getattr(self, f) < 1)
         if below_one:
-            raise ConfigError(below_one, "scene/event/vision token counts and layer counts must be >= 1")
+            raise FieldError(below_one, "scene/event/vision token counts and layer counts must be >= 1")
         if self.dim < 1:
-            raise ConfigError(("dim",), f"model dim must be >= 1, got {self.dim}")
+            raise FieldError(("dim",), f"model dim must be >= 1, got {self.dim}")
         if self.heads < 1:
-            raise ConfigError(("heads",), f"head count must be >= 1, got {self.heads}")
+            raise FieldError(("heads",), f"head count must be >= 1, got {self.heads}")
         if self.dim % self.heads != 0:
-            raise ConfigError(("dim", "heads"), f"heads ({self.heads}) must divide model dim ({self.dim})")
+            raise FieldError(("dim", "heads"), f"heads ({self.heads}) must divide model dim ({self.dim})")
         if self.mode not in MODES:
-            raise ConfigError(("mode",), f"unknown mode {self.mode!r}; expected one of {MODES}")
+            raise FieldError(("mode",), f"unknown mode {self.mode!r}; expected one of {MODES}")
         if self.precision not in _DTYPES:
-            raise ConfigError(("precision",), f"precision must be one of {sorted(_DTYPES)}")
+            raise FieldError(("precision",), f"precision must be one of {sorted(_DTYPES)}")
         if self.seed < 0:
-            raise ConfigError(("seed",), f"seed must be non-negative, got {self.seed}")
+            raise FieldError(("seed",), f"seed must be non-negative, got {self.seed}")
 
     @property
     def dtype(self):
@@ -384,6 +387,7 @@ class SpaCompressor:
         return ForwardResult(scene=scene, events=events, flattened=ad.concat([scene, flat_blocks], axis=1))
 
     def encode_frame_times(self, frames: list[Frame]) -> list[Node]:
+        # one call per frame: perfbench counts GRU steps per encode_timestamp call (ROADMAP item 1 step A)
         return [encode_timestamp(f.time_seconds, self.time_encoder) for f in frames]
 
     def prepare_input(self, frames: list[Frame], sentences: list[AsrSentence]) -> PreparedInput:
@@ -396,13 +400,15 @@ class SpaCompressor:
         # align_sentences proved that every frame has frame 0's token shape
         # and that every sentence's tokens are a 2-D (tokens, width) array
         if frames[0].vision_tokens.shape != (cfg.vision_tokens_per_frame, cfg.dim):
-            raise ValueError(
+            raise FieldError(
+                ("dim", "vision_tokens_per_frame"),
                 f"frame vision tokens have shape {frames[0].vision_tokens.shape}, "
                 f"expected {(cfg.vision_tokens_per_frame, cfg.dim)}"
             )
         for s in sentences:
             if s.tokens.shape[1] != cfg.dim:
-                raise ValueError(
+                raise FieldError(
+                    ("dim",),
                     f"sentence {s.index} tokens have shape {s.tokens.shape}, "
                     f"expected (tokens, {cfg.dim})"
                 )

@@ -7,18 +7,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .compressor import FieldError
 from .sequence import AsrSentence, Frame
 from .time_encoder import MAX_TIME_SECONDS
 
 MIN_SENTENCE_WINDOW = 0.2  # seconds
-
-
-class VideoSpecError(ValueError):
-    """A bad :class:`SyntheticVideoSpec`; ``fields`` names the spec fields the failed check read."""
-
-    def __init__(self, fields: tuple[str, ...], message: str):
-        super().__init__(message)
-        self.fields = fields
 
 
 @dataclass(frozen=True)
@@ -34,34 +27,32 @@ class SyntheticVideoSpec:
 
     def __post_init__(self):
         if self.n_frames < 1:
-            raise VideoSpecError(("n_frames",), f"need at least one frame, got {self.n_frames}")
+            raise FieldError(("n_frames",), f"need at least one frame, got {self.n_frames}")
         if self.n_sentences < 0:
-            raise VideoSpecError(("n_sentences",), f"sentence count cannot be negative, got {self.n_sentences}")
+            raise FieldError(("n_sentences",), f"sentence count cannot be negative, got {self.n_sentences}")
         if not 1 <= self.sentence_tokens_min <= self.sentence_tokens_max:
-            raise VideoSpecError(
+            raise FieldError(
                 ("sentence_tokens_min", "sentence_tokens_max"), "sentence token range must satisfy 1 <= min <= max"
             )
         if self.dim < 1 or self.vision_tokens_per_frame < 1:
-            raise VideoSpecError(
-                ("dim", "vision_tokens_per_frame"), "model dim and vision tokens per frame must be >= 1"
-            )
+            raise FieldError(("dim", "vision_tokens_per_frame"), "model dim and vision tokens per frame must be >= 1")
         if not (math.isfinite(self.frame_step) and self.frame_step > 0):
-            raise VideoSpecError(("frame_step",), f"frame step must be finite and positive, got {self.frame_step}")
+            raise FieldError(("frame_step",), f"frame step must be finite and positive, got {self.frame_step}")
         if (self.n_frames - 1) * self.frame_step >= MAX_TIME_SECONDS:
-            raise VideoSpecError(
+            raise FieldError(
                 ("n_frames", "frame_step"),
                 f"{self.n_frames} frames {self.frame_step:g}s apart end past "
                 f"the {MAX_TIME_SECONDS:.0f}s timestamp limit",
             )
         duration = self.n_frames * self.frame_step
         if self.n_sentences and duration / self.n_sentences < MIN_SENTENCE_WINDOW:
-            raise VideoSpecError(
+            raise FieldError(
                 ("n_frames", "n_sentences", "frame_step"),
                 f"{self.n_sentences} sentences cannot fit a {duration:.1f}s video "
                 f"(window {duration / self.n_sentences:.3f}s < {MIN_SENTENCE_WINDOW}s)",
             )
         if self.seed < 0:
-            raise VideoSpecError(("seed",), f"video seed must be non-negative, got {self.seed}")
+            raise FieldError(("seed",), f"video seed must be non-negative, got {self.seed}")
 
 
 def generate(spec: SyntheticVideoSpec) -> tuple[list[Frame], list[AsrSentence]]:

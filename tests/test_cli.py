@@ -286,6 +286,24 @@ class TestGenerateAndRun:
         assert err.startswith("error: ")
         assert "frame 1 at position 0" in err
 
+    def test_shape_mismatch_names_the_manifest_and_flags(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("generate", "--out", "v", "--frames", "3", "--sentences", "1") == 0
+        capsys.readouterr()
+        assert run_cli("run", "--manifest", "v/video.manifest", "--out", "o.spat", "--l-v", "4") == 1
+        assert capsys.readouterr() == (
+            "", "error: v/video.manifest: --d, --l-v: frame vision tokens have shape (2, 8), expected (4, 8)\n"
+        )
+        frames, sentences = read_video("v/video.manifest")
+        narrow = [dataclasses.replace(s, tokens=s.tokens[:, :4]) for s in sentences]
+        write_video("w", frames, narrow)
+        assert run_cli("run", "--manifest", "w/video.manifest", "--out", "o.spat") == 1
+        shape = narrow[0].tokens.shape
+        assert capsys.readouterr() == (
+            "", f"error: w/video.manifest: --d: sentence 1 tokens have shape {shape}, expected (tokens, 8)\n"
+        )
+        assert not (tmp_path / "o.spat").exists()
+
     def test_explicit_seed_and_precision_override_the_ini(self, tmp_path):
         ini = tmp_path / "c.ini"
         ini.write_text(
@@ -613,6 +631,14 @@ def test_bad_model_value_names_its_flags(tmp_path, monkeypatch, capsys, command,
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n" and captured.out == ""
     assert not (tmp_path / "o.spat").exists()
+
+
+def test_flags_below_one_are_named_in_flag_order(capsys):
+    # given out of order, the flags are named in INI key order
+    assert run_cli("gradcheck", "--l-v", "0", "--l-s", "0") == 1
+    assert capsys.readouterr() == (
+        "", "error: --l-s, --l-v: scene/event/vision token counts and layer counts must be >= 1\n"
+    )
 
 
 def test_model_too_large_to_allocate_is_one_error_line():
